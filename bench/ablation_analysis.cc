@@ -49,9 +49,14 @@ main(int argc, char **argv)
         for (const char *name : names) {
             const Workload &w = workloadByName(name);
             for (int visits : {4, 16, 64, 256}) {
+                // One scalar worker, whatever --lanes/--threads say:
+                // the cycles/paths columns report the cost of the
+                // serial Algorithm-1 schedule, which lane batching and
+                // the thread schedule change (the untoggled column is
+                // independent of both).
                 AnalysisOptions opts;
-                opts.threads = io.threads();
                 opts.concreteVisits = visits;
+                opts.laneWidth = 1;
                 AnalysisResult r =
                     analyzeActivity(baseline, w, opts);
                 t.row()
@@ -79,8 +84,7 @@ main(int argc, char **argv)
         Table t({"benchmark", "cells: cut only", "+ resynthesis",
                  "resynth extra %", "power: no resize uW",
                  "+ resize uW"});
-        FlowOptions fopts;
-        fopts.analysis.threads = io.threads();
+        FlowOptions fopts = io.flowOptions();
         fopts.powerInputsPerWorkload = 1;
         BespokeFlow flow(fopts);
         std::vector<const char *> names =

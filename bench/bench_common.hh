@@ -19,7 +19,8 @@
  *                    Verdicts are bit-identical at any value — only
  *                    wall time moves.
  *   --lanes N        LaneSim batch width for the activity analysis
- *                    (1..64, default 1 = scalar). Like --threads, the
+ *                    (1..64; default AnalysisOptions{}.laneWidth, 64;
+ *                    1 = the scalar A/B setting). Like --threads, the
  *                    table values are lane-width independent.
  *   --plane-bits W   bit-plane word width for lane-batched replays
  *                    (64/128/256/512; default 0 = resolvePlaneBits,
@@ -33,6 +34,10 @@
  *   --checkpoint-max-bytes N  cap the checkpoint store at N bytes;
  *                    each save evicts least-recently-used artifacts
  *                    until it fits (0 = no cap, the default).
+ *
+ * Benches build their options through BenchIO::analysisOptions() /
+ * flowOptions(), the one place these flags reach the flow, so no flag
+ * can be accepted and then dropped.
  *
  * Table values are compared exactly (they are deterministic); wall
  * clock is compared against a tolerance band (current must stay below
@@ -54,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "src/bespoke/flow.hh"
 #include "src/util/json.hh"
 #include "src/util/logging.hh"
 #include "src/util/table.hh"
@@ -163,7 +169,6 @@ class BenchIO
                 if (v < 1 || v > 64 || (end && *end != '\0'))
                     die("--lanes needs an integer in [1, 64]");
                 lanes_ = static_cast<int>(v);
-                lanesSet_ = true;
                 continue;
             }
             std::string pval;
@@ -219,21 +224,42 @@ class BenchIO
     int threads() const { return threads_; }
     /** --sat-threads value for the SAT prover layer (default 1). */
     int satThreads() const { return satThreads_; }
-    /** --lanes value for AnalysisOptions::laneWidth (default 1). */
+    /** --lanes value for AnalysisOptions::laneWidth (default: the
+     *  library default, AnalysisOptions{}.laneWidth). */
     int lanes() const { return lanes_; }
-    /**
-     * --lanes if given explicitly, else a bench-chosen default. For a
-     * bench whose checked values are lane-width independent this picks
-     * the fast batched analysis path by default while keeping --lanes 1
-     * reachable for A/B runs.
-     */
-    int lanesOr(int def) const { return lanesSet_ ? lanes_ : def; }
     /** --plane-bits value for batched replays (0 = resolve default). */
     int planeBits() const { return planeBits_; }
-    /** --checkpoint-dir value for FlowOptions::checkpointDir ("" off). */
-    const std::string &checkpointDir() const { return checkpointDir_; }
-    /** --checkpoint-max-bytes for FlowOptions::checkpointMaxBytes. */
-    uint64_t checkpointMaxBytes() const { return checkpointMaxBytes_; }
+
+    /**
+     * Library-default analysis options carrying this run's execution
+     * knobs: --threads, --lanes and --plane-bits. Benches set only
+     * the exploration knobs they study on top.
+     */
+    AnalysisOptions
+    analysisOptions() const
+    {
+        AnalysisOptions opts;
+        opts.threads = threads_;
+        opts.laneWidth = lanes_;
+        opts.planeBits = planeBits_;
+        return opts;
+    }
+
+    /**
+     * Library-default flow options carrying analysisOptions(),
+     * --plane-bits for the power replays, and the checkpoint store
+     * flags.
+     */
+    FlowOptions
+    flowOptions() const
+    {
+        FlowOptions opts;
+        opts.analysis = analysisOptions();
+        opts.planeBits = planeBits_;
+        opts.checkpointDir = checkpointDir_;
+        opts.checkpointMaxBytes = checkpointMaxBytes_;
+        return opts;
+    }
 
     /**
      * Print a table and record it under `key`. Columns listed in
@@ -485,8 +511,7 @@ class BenchIO
     bool ok_ = true;
     std::string jsonPath_, checkPath_, checkpointDir_;
     uint64_t checkpointMaxBytes_ = 0;
-    int lanes_ = 1;
-    bool lanesSet_ = false;
+    int lanes_ = AnalysisOptions{}.laneWidth;
     int planeBits_ = 0;
     JsonValue tables_ = JsonValue::object();
     JsonValue metrics_ = JsonValue::object();

@@ -23,13 +23,7 @@ main(int argc, char **argv)
     banner("Oracle module-level power gating vs. bespoke design",
            "Figure 15");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.analysis.laneWidth = io.lanes();
-    opts.analysis.planeBits = io.planeBits();
-    opts.planeBits = io.planeBits();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     opts.powerInputsPerWorkload = inputs;
     BespokeFlow flow(opts);
 

@@ -56,12 +56,13 @@ buildQueue(bool quick)
 
 std::vector<JobResult>
 runQueue(const std::vector<JobSpec> &queue, const std::string &dir,
-         int worker_threads, double *seconds)
+         const BenchIO &io, double *seconds)
 {
     SchedulerOptions sopts;
     sopts.jobThreads = 4;
-    sopts.workerThreads = worker_threads;
+    sopts.workerThreads = io.threads();
     sopts.checkpointDir = dir;
+    sopts.flow = io.flowOptions();
     sopts.flow.powerInputsPerWorkload = 1;
     JobScheduler sched(std::move(sopts));
     auto t0 = std::chrono::steady_clock::now();
@@ -110,9 +111,9 @@ main(int argc, char **argv)
     std::vector<JobSpec> queue = buildQueue(io.quick());
     double cold_secs = 0.0, warm_secs = 0.0;
     std::vector<JobResult> cold =
-        runQueue(queue, dir, io.threads(), &cold_secs);
+        runQueue(queue, dir, io, &cold_secs);
     std::vector<JobResult> warm =
-        runQueue(queue, dir, io.threads(), &warm_secs);
+        runQueue(queue, dir, io, &warm_secs);
     std::filesystem::remove_all(dir);
 
     Table table({"job", "kind", "ok", "result", "cold (s)",

@@ -129,16 +129,14 @@ main(int argc, char **argv)
     Netlist core = buildBsp430();
     const std::vector<Workload> &apps = workloads();
 
-    AnalysisOptions aopts;
+    // Every checked value except the merge count is lane-width
+    // independent (verdicts, cell counts and candidate sets are pinned
+    // identical across widths by tests). The merge count is an
+    // execution-strategy observable — how often the explorer revisits
+    // a merge point depends on how many lanes arrive together — so the
+    // goldens are recorded at the default lane and plane widths.
+    AnalysisOptions aopts = io.analysisOptions();
     aopts.threads = 1;
-    // The analysis runs lane-batched by default: every checked value
-    // except the merge count is lane-width independent (verdicts, cell
-    // counts and candidate sets are pinned identical across widths by
-    // tests), and the batched exploration is several times faster. The
-    // merge count is an execution-strategy observable — how often the
-    // explorer revisits a merge point depends on how many lanes arrive
-    // together — so the goldens are recorded at this default.
-    aopts.laneWidth = io.lanesOr(64);
     aopts.concreteVisits = 1;  // widen aggressively: see header comment
 
     std::vector<AppRow> rows(apps.size());
@@ -251,24 +249,15 @@ main(int argc, char **argv)
             vpool.post([&, v] {
                 const Workload &app = workloadByName(verified_apps[v]);
                 AsmProgram prog = app.assembleProgram();
-                // Scalar analysis here, whatever --lanes says: the
-                // horizon (cyclesSimulated) is an execution-strategy
-                // observable — lane batching can roughly double
-                // binSearch's — and this section pins the depth the
-                // production flow's default scalar analysis
-                // auto-resolves --sat-depth 0 to. The depth-30 table
-                // above keeps the lane-batched default; its checked
-                // values are horizon-independent.
-                AnalysisOptions vaopts = aopts;
-                vaopts.laneWidth = 1;
-                AnalysisResult ar = analyzeActivity(core, app, vaopts);
+                AnalysisResult ar = analyzeActivity(core, app, aopts);
                 PassEnv env = makeEnv(app, prog, io.planeBits());
                 env.program = &prog;
                 PassPipelineOptions with_sat;
                 with_sat.satNeverToggle = true;
-                // The flow's auto depth: the analysis's own envelope.
-                with_sat.sat.depth =
-                    static_cast<int>(ar.cyclesSimulated);
+                // The flow's auto depth: the serial analysis's own
+                // envelope, whatever lane width ran `ar`.
+                with_sat.sat.depth = static_cast<int>(
+                    serialAnalysisHorizon(core, prog, aopts));
                 with_sat.sat.threads = io.satThreads();
                 PipelineReport report;
                 CutStats cut;
@@ -278,7 +267,8 @@ main(int argc, char **argv)
                                       with_sat, env, &cut, &report);
                 double sat_ms = msSince(t0);
 
-                AnalysisOptions vopts;  // default precision
+                // Default precision (concreteVisits) for the check.
+                AnalysisOptions vopts = io.analysisOptions();
                 vopts.threads = 1;
                 EquivResult sym = checkSymbolicEquivalence(
                     core, sat_nl, prog, vopts);

@@ -31,12 +31,7 @@ main(int argc, char **argv)
 
     banner("Verification runtime and coverage", "Table 3 / Sec. 5.1");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.analysis.laneWidth = io.lanes();
-    opts.analysis.planeBits = io.planeBits();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     opts.powerInputsPerWorkload = 1;
     BespokeFlow flow(opts);
 

@@ -28,12 +28,7 @@ main(int argc, char **argv)
     banner("Mutant generation and bespoke support for in-field fixes",
            "Tables 4 and 5");
 
-    FlowOptions opts;
-    opts.analysis.threads = io.threads();
-    opts.analysis.laneWidth = io.lanes();
-    opts.analysis.planeBits = io.planeBits();
-    opts.checkpointDir = io.checkpointDir();
-    opts.checkpointMaxBytes = io.checkpointMaxBytes();
+    FlowOptions opts = io.flowOptions();
     BespokeFlow flow(opts);
 
     // The paper's six mutant-rich benchmarks.

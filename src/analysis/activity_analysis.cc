@@ -105,14 +105,16 @@ resolveAnalysisLanes(const AnalysisOptions &opts)
     return std::clamp(lanes, 1, 64);
 }
 
+namespace
+{
+
+/** analyzeActivity() at an already-resolved worker count and width. */
 AnalysisResult
-analyzeActivity(const Netlist &netlist, const AsmProgram &prog,
-                const AnalysisOptions &opts)
+runAnalysis(const Netlist &netlist, const AsmProgram &prog,
+            const AnalysisOptions &opts, int threads, int lanes)
 {
     auto t0 = std::chrono::steady_clock::now();
-    const int threads = resolveAnalysisThreads(opts);
-
-    ExplorationContext ctx(netlist, prog, opts);
+    ExplorationContext ctx(netlist, prog, opts, lanes);
     Frontier frontier(opts);
 
     std::vector<std::unique_ptr<PathExplorer>> workers;
@@ -169,6 +171,29 @@ analyzeActivity(const Netlist &netlist, const AsmProgram &prog,
                    ", max fork depth ", res.maxForkDepth,
                    res.completed ? ")" : ", CAPPED)");
     return res;
+}
+
+} // namespace
+
+AnalysisResult
+analyzeActivity(const Netlist &netlist, const AsmProgram &prog,
+                const AnalysisOptions &opts)
+{
+    return runAnalysis(netlist, prog, opts, resolveAnalysisThreads(opts),
+                       resolveAnalysisLanes(opts));
+}
+
+uint64_t
+serialAnalysisHorizon(const Netlist &netlist, const AsmProgram &prog,
+                      const AnalysisOptions &opts)
+{
+    AnalysisResult r = runAnalysis(netlist, prog, opts, 1, 1);
+    if (!r.completed) {
+        bespoke_warn("serial analysis horizon hit its caps after ",
+                     r.cyclesSimulated, " cycles; no horizon");
+        return 0;
+    }
+    return r.cyclesSimulated;
 }
 
 AnalysisResult

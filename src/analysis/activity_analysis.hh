@@ -73,16 +73,18 @@ struct AnalysisOptions
     int threads = 1;
     /**
      * Frontier states simulated at once per worker, on the bit-plane
-     * packed LaneSim (1..64). 1 (the default) keeps every path on the
-     * scalar engine and reproduces it bit for bit; wider widths batch
-     * independent frontier states into uint64_t lanes and hand a lane
-     * back to the scalar engine only when it reaches a fork or merge
-     * point. The toggle fixpoint is the same either way (pinned by
-     * tests); path/cycle counters can differ from the serial schedule.
-     * The BESPOKE_ANALYSIS_LANES environment variable, when set,
-     * overrides this field process-wide.
+     * packed LaneSim (1..64). The default 64 batches independent
+     * frontier states into uint64_t lanes and hands a lane back to the
+     * scalar engine only when it reaches a fork or merge point; 1 is
+     * the scalar A/B setting, keeping every path on the scalar engine
+     * and reproducing the serial schedule bit for bit. The toggle
+     * fixpoint is the same either way (pinned by tests); path/cycle
+     * counters differ from the serial schedule (see
+     * serialAnalysisHorizon() for the lane-independent horizon). The
+     * BESPOKE_ANALYSIS_LANES environment variable, when set, overrides
+     * this field process-wide.
      */
-    int laneWidth = 1;
+    int laneWidth = 64;
     /**
      * Lane-plane width in bits for the batched engine (64/128/256/512;
      * 0 resolves through BESPOKE_PLANE_BITS, defaulting to 64). Widths
@@ -168,6 +170,22 @@ AnalysisResult analyzeActivity(const Netlist &netlist,
 /** Convenience overload assembling a workload. */
 AnalysisResult analyzeActivity(const Netlist &netlist, const Workload &w,
                                const AnalysisOptions &opts = {});
+
+/**
+ * Cycles the serial scalar schedule (one worker, laneWidth 1, the
+ * BESPOKE_ANALYSIS_THREADS/LANES overrides ignored) simulates for
+ * `prog` under `opts`'s exploration knobs (concreteVisits, caps, IRQ
+ * line). Unlike AnalysisResult::cyclesSimulated, which grows with lane
+ * batching and varies with the thread schedule, this depends only on
+ * inputs the checkpoint keys hash, so it is the horizon the SAT
+ * never-toggle pass's auto depth (SatNeverToggleOptions::depth == 0)
+ * resolves to. Runs one scalar analysis. Returns 0 (no horizon: the
+ * SAT pass then skips) when that serial run hits maxPaths or
+ * maxTotalCycles, so a capped count never becomes a proof depth.
+ */
+uint64_t serialAnalysisHorizon(const Netlist &netlist,
+                               const AsmProgram &prog,
+                               const AnalysisOptions &opts);
 
 } // namespace bespoke
 

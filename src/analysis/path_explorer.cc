@@ -32,9 +32,10 @@ tableKey(uint16_t pc, DecKind kind)
 
 ExplorationContext::ExplorationContext(const Netlist &netlist,
                                        const AsmProgram &prog,
-                                       const AnalysisOptions &opts)
+                                       const AnalysisOptions &opts,
+                                       int lanes)
     : soc(SocContext::make(netlist)), prog(prog), opts(opts),
-      lanes(resolveAnalysisLanes(opts)),
+      lanes(lanes),
       planeWidth(resolvePlaneBits(opts.planeBits)),
       batchLanes(lanes <= 1      ? 1
                  : planeWidth > 64 ? planeWidth

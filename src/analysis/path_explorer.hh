@@ -36,13 +36,13 @@ namespace bespoke
 
 /**
  * Read-only state shared by all workers of one analysis: the resolved
- * per-netlist simulation context, the program, the (thread-resolved)
- * options, and the sorted halt-address table.
+ * per-netlist simulation context, the program, the options, the
+ * resolved lane width, and the sorted halt-address table.
  */
 struct ExplorationContext
 {
     ExplorationContext(const Netlist &netlist, const AsmProgram &prog,
-                       const AnalysisOptions &opts);
+                       const AnalysisOptions &opts, int lanes);
 
     std::shared_ptr<const SocContext> soc;
     const AsmProgram &prog;

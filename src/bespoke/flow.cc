@@ -311,12 +311,13 @@ BespokeFlow::tryTailor(const Workload &app, BespokeDesign *out,
             // for every program, which the pass does not yet do.)
             env.program = &prog;
             PassPipelineOptions popts = opts_.passes;
-            // Auto depth: cover exactly the analysis's bounded
+            // Auto depth: cover exactly the serial analysis's bounded
             // envelope. Derived from inputs already in the checkpoint
-            // key, so resolving it here keeps keys stable.
+            // key (not from this run's lane width or threads), so
+            // resolving it here keeps keys stable.
             if (popts.satNeverToggle && popts.sat.depth == 0) {
-                popts.sat.depth =
-                    static_cast<int>(analysis.cyclesSimulated);
+                popts.sat.depth = static_cast<int>(
+                    serialAnalysisHorizon(baseline_, prog, opts_.analysis));
             }
             return runTailorPipeline(baseline_, analysis.activity.get(),
                                      popts, env, c, r);

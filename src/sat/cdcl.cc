@@ -83,6 +83,7 @@ CdclSolver::invalidateSavedTrail()
 void
 CdclSolver::addClause(const Lit *lits, size_t n)
 {
+    problemClauses_++;
     // New constraints invalidate the saved assumption-prefix trail:
     // the kept propagations may be incomplete under the new clause.
     invalidateSavedTrail();

@@ -112,6 +112,10 @@ class CdclSolver : public CnfSink
     void setStopFlag(const std::atomic<bool> *stop) { stop_ = stop; }
 
     size_t numVars() const { return nVars_; }
+    /** Problem clauses given to addClause(), counted before level-0
+     *  simplification drops duplicates, tautologies or satisfied
+     *  clauses (learned clauses are not included). */
+    uint64_t problemClauses() const { return problemClauses_; }
     uint64_t conflicts() const { return conflicts_; }
     uint64_t decisions() const { return decisions_; }
     uint64_t propagations() const { return propagations_; }
@@ -206,6 +210,7 @@ class CdclSolver : public CnfSink
 
     const std::atomic<bool> *stop_ = nullptr;
 
+    uint64_t problemClauses_ = 0;
     uint64_t conflicts_ = 0;
     uint64_t decisions_ = 0;
     uint64_t propagations_ = 0;

@@ -83,6 +83,7 @@ runMiterSession(const Netlist &original, const Netlist &bespoke_nl,
 
     auto finish_stats = [&] {
         res.vars = solver.numVars();
+        res.clauses = solver.problemClauses();
         res.conflicts = solver.conflicts();
         res.propagations = solver.propagations();
         res.learnedClauses = solver.learnedClauses();

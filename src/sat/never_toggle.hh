@@ -11,10 +11,10 @@
  * from the observed constant in some frame" solved under a single
  * assumption. UNSAT proves the net holds its constant for the entire
  * checked horizon under EVERY input sequence — when `depth` covers the
- * application's analysis envelope (AnalysisResult::cyclesSimulated,
- * the same bounded exploration the X-analysis itself proves constants
- * over), this is exactly the X-analysis's own claim, minus its
- * 3-valued pessimism. SAT means some input sequence flips the net
+ * application's analysis envelope (serialAnalysisHorizon(), the same
+ * bounded exploration the serial X-analysis proves constants over),
+ * this is exactly the X-analysis's own claim, minus its 3-valued
+ * pessimism. SAT means some input sequence flips the net
  * inside the horizon: refuted outright.
  *
  * Induction additionally runs a van Eijk-style mutual k-induction for

@@ -112,9 +112,11 @@ struct SatNeverToggleOptions
 {
     /**
      * Unrolling depth in frames. 0 = auto: the flow resolves it to the
-     * activity analysis's full cycle horizon, making the bounded SAT
-     * proof cover exactly the envelope the X-analysis proves its own
-     * constants over. The pass is skipped if 0 reaches it unresolved.
+     * serial activity analysis's full cycle horizon
+     * (serialAnalysisHorizon(), independent of lane width and
+     * threads), making the bounded SAT proof cover exactly the
+     * envelope the X-analysis proves its own constants over. The pass
+     * is skipped if 0 reaches it unresolved.
      */
     int depth = 0;
     /** Per-query CDCL conflict budget (0 = unlimited). */

@@ -3,12 +3,17 @@
  * Tests for the parallel path-exploration engine behind
  * analyzeActivity():
  *
- *  - threads=1 reproduces the pre-refactor serial engine bit for bit
- *    (path/cycle/fork/merge counters and the untoggled-cell count are
- *    pinned to values captured from the monolithic AnalysisEngine
- *    before the decomposition);
- *  - threads>1 yields the identical untoggled-cell set (the widening
- *    fixpoint is schedule-independent on these workloads);
+ *  - threads=1 at laneWidth 1 reproduces the pre-refactor serial
+ *    engine bit for bit (path/cycle/fork/merge counters and the
+ *    untoggled-cell count are pinned to values captured from the
+ *    monolithic AnalysisEngine before the decomposition);
+ *  - threads>1 and the 64-lane engine yield the identical
+ *    untoggled-cell set (the widening fixpoint is schedule-independent
+ *    on these workloads);
+ *  - the library defaults (AnalysisOptions, FlowOptions, JobScheduler
+ *    jobs) resolve the 64-lane engine and match the scalar fixpoint;
+ *  - serialAnalysisHorizon() is lane-width and thread independent,
+ *    and 0 when the serial schedule hits its caps;
  *  - exploration caps produce completed=false with a still-usable
  *    (conservative) tracker, on one thread and on many;
  *  - BESPOKE_ANALYSIS_THREADS overrides AnalysisOptions::threads;
@@ -20,7 +25,9 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/activity_analysis.hh"
+#include "src/bespoke/flow.hh"
 #include "src/cpu/bsp430.hh"
+#include "src/service/job_scheduler.hh"
 #include "src/util/worker_pool.hh"
 
 namespace bespoke
@@ -40,6 +47,31 @@ analyze(const char *workload, int threads, AnalysisOptions opts = {})
 {
     opts.threads = threads;
     return analyzeActivity(core(), workloadByName(workload), opts);
+}
+
+/** The scalar A/B setting: the serial schedule's golden counters are
+ *  only valid at lane width 1. */
+AnalysisOptions
+scalarOpts()
+{
+    AnalysisOptions opts;
+    opts.laneWidth = 1;
+    return opts;
+}
+
+/** Same may-toggle flags, and the same proven constants. */
+void
+expectSameUntoggledSet(const ActivityTracker &got,
+                       const ActivityTracker &want)
+{
+    ASSERT_EQ(got.netlist().size(), want.netlist().size());
+    for (GateId i = 0; i < want.netlist().size(); i++) {
+        ASSERT_EQ(got.toggled(i), want.toggled(i)) << "gate " << i;
+        if (!want.toggled(i)) {
+            ASSERT_EQ(got.initialValue(i), want.initialValue(i))
+                << "gate " << i;
+        }
+    }
 }
 
 /** Golden counters captured from the serial engine pre-decomposition. */
@@ -62,7 +94,7 @@ TEST(AnalysisParallel, SerialMatchesPreRefactorGolden)
 {
     for (const Golden &g : kGolden) {
         SCOPED_TRACE(g.workload);
-        AnalysisResult r = analyze(g.workload, 1);
+        AnalysisResult r = analyze(g.workload, 1, scalarOpts());
         EXPECT_TRUE(r.completed);
         EXPECT_EQ(r.pathsExplored, g.paths);
         EXPECT_EQ(r.cyclesSimulated, g.cycles);
@@ -70,6 +102,7 @@ TEST(AnalysisParallel, SerialMatchesPreRefactorGolden)
         EXPECT_EQ(r.merges, g.merges);
         EXPECT_EQ(r.untoggledCells(), g.untoggled);
         EXPECT_EQ(r.threadsUsed, 1);
+        EXPECT_EQ(r.lanesUsed, 1);
     }
 }
 
@@ -79,24 +112,14 @@ TEST(AnalysisParallel, ThreadedMatchesSerialUntoggledSet)
     // 24 merges); div is fork-heavy with almost no widening.
     for (const char *name : {"div", "tHold", "rle"}) {
         SCOPED_TRACE(name);
-        AnalysisResult serial = analyze(name, 1);
+        AnalysisResult serial = analyze(name, 1, scalarOpts());
         ASSERT_TRUE(serial.completed);
         for (int threads : {2, 8}) {
             SCOPED_TRACE(threads);
-            AnalysisResult par = analyze(name, threads);
+            AnalysisResult par = analyze(name, threads, scalarOpts());
             ASSERT_TRUE(par.completed);
             EXPECT_EQ(par.threadsUsed, threads);
-            for (GateId i = 0; i < core().size(); i++) {
-                ASSERT_EQ(par.activity->toggled(i),
-                          serial.activity->toggled(i))
-                    << "gate " << i;
-                if (!serial.activity->toggled(i)) {
-                    // The proven constant must agree too.
-                    ASSERT_EQ(par.activity->initialValue(i),
-                              serial.activity->initialValue(i))
-                        << "gate " << i;
-                }
-            }
+            expectSameUntoggledSet(*par.activity, *serial.activity);
         }
     }
 }
@@ -110,7 +133,7 @@ TEST(AnalysisParallel, LaneBatchedMatchesSerialUntoggledSet)
     // combined with worker threads.
     for (const char *name : {"div", "tHold", "rle", "binSearch"}) {
         SCOPED_TRACE(name);
-        AnalysisResult serial = analyze(name, 1);
+        AnalysisResult serial = analyze(name, 1, scalarOpts());
         ASSERT_TRUE(serial.completed);
         for (int threads : {1, 4}) {
             SCOPED_TRACE(threads);
@@ -120,16 +143,7 @@ TEST(AnalysisParallel, LaneBatchedMatchesSerialUntoggledSet)
             ASSERT_TRUE(lane.completed);
             EXPECT_EQ(lane.lanesUsed, 64);
             EXPECT_GT(lane.gatesEvaluated, 0u);
-            for (GateId i = 0; i < core().size(); i++) {
-                ASSERT_EQ(lane.activity->toggled(i),
-                          serial.activity->toggled(i))
-                    << "gate " << i;
-                if (!serial.activity->toggled(i)) {
-                    ASSERT_EQ(lane.activity->initialValue(i),
-                              serial.activity->initialValue(i))
-                        << "gate " << i;
-                }
-            }
+            expectSameUntoggledSet(*lane.activity, *serial.activity);
         }
     }
 }
@@ -156,14 +170,23 @@ TEST(AnalysisParallel, LaneEnvVarOverridesLaneWidth)
     EXPECT_EQ(resolveAnalysisLanes(opts), 7);
 }
 
+/** The exploration engines the cap tests cover. */
+struct Engine
+{
+    int lanes, threads;
+};
+constexpr Engine kEngines[] = {{1, 1}, {1, 4}, {64, 1}, {64, 4}};
+
 TEST(AnalysisParallel, PathCapYieldsIncompleteButUsableResult)
 {
-    AnalysisResult full = analyze("div", 1);
-    for (int threads : {1, 4}) {
-        SCOPED_TRACE(threads);
+    AnalysisResult full = analyze("div", 1, scalarOpts());
+    for (const Engine &e : kEngines) {
+        SCOPED_TRACE(testing::Message() << e.lanes << " lanes, "
+                                        << e.threads << " threads");
         AnalysisOptions opts;
-        opts.maxPaths = 20;  // div needs 181
-        AnalysisResult r = analyze("div", threads, opts);
+        opts.laneWidth = e.lanes;
+        opts.maxPaths = 20;  // div needs 181 serially
+        AnalysisResult r = analyze("div", e.threads, opts);
         EXPECT_FALSE(r.completed);
         EXPECT_LE(r.pathsExplored, opts.maxPaths);
         ASSERT_NE(r.activity, nullptr);
@@ -183,11 +206,13 @@ TEST(AnalysisParallel, PathCapYieldsIncompleteButUsableResult)
 
 TEST(AnalysisParallel, CycleCapYieldsIncompleteResult)
 {
-    for (int threads : {1, 4}) {
-        SCOPED_TRACE(threads);
+    for (const Engine &e : kEngines) {
+        SCOPED_TRACE(testing::Message() << e.lanes << " lanes, "
+                                        << e.threads << " threads");
         AnalysisOptions opts;
-        opts.maxTotalCycles = 500;  // div needs 2956
-        AnalysisResult r = analyze("div", threads, opts);
+        opts.laneWidth = e.lanes;
+        opts.maxTotalCycles = 500;  // div needs 2956 serially
+        AnalysisResult r = analyze("div", e.threads, opts);
         EXPECT_FALSE(r.completed);
         ASSERT_NE(r.activity, nullptr);
         EXPECT_TRUE(r.activity->initialCaptured());
@@ -226,7 +251,7 @@ TEST(AnalysisParallel, ObservabilityFieldsAreConsistent)
         AnalysisResult r = analyze("div", threads);
         EXPECT_EQ(r.threadsUsed, threads);
         EXPECT_GT(r.frontierPeak, 0u);
-        EXPECT_GT(r.maxForkDepth, 0u);  // div forks 90 times
+        EXPECT_GT(r.maxForkDepth, 0u);  // div forks (90 times serially)
         ASSERT_EQ(r.workerStats.size(),
                   static_cast<size_t>(threads));
         uint64_t paths = 0, cycles = 0;
@@ -237,6 +262,122 @@ TEST(AnalysisParallel, ObservabilityFieldsAreConsistent)
         EXPECT_EQ(paths, r.pathsExplored);
         EXPECT_EQ(cycles, r.cyclesSimulated);
     }
+}
+
+/** True when the environment override pins the lane width. */
+bool
+laneEnvSet()
+{
+    return std::getenv("BESPOKE_ANALYSIS_LANES") != nullptr;
+}
+
+SchedulerOptions
+schedulerOpts(int lanes)
+{
+    SchedulerOptions sopts;
+    sopts.jobThreads = 2;
+    sopts.workerThreads = 2;
+    sopts.flow.analysis.laneWidth = lanes;
+    sopts.flow.powerInputsPerWorkload = 1;
+    return sopts;
+}
+
+std::vector<JobResult>
+runTailorJobs(const std::vector<std::string> &apps, SchedulerOptions sopts)
+{
+    JobScheduler sched(std::move(sopts));
+    for (const std::string &app : apps) {
+        JobSpec spec;
+        spec.id = "tailor-" + app;
+        spec.kind = "tailor";
+        spec.apps = {app};
+        sched.submit(spec);
+    }
+    return sched.finish();
+}
+
+TEST(LaneDefault, LibraryDefaultsResolveSixtyFourLanes)
+{
+    if (laneEnvSet())
+        GTEST_SKIP() << "BESPOKE_ANALYSIS_LANES overrides the default";
+    EXPECT_EQ(resolveAnalysisLanes(AnalysisOptions{}), 64);
+    EXPECT_EQ(analyzeActivity(core(), workloadByName("binSearch"))
+                  .lanesUsed,
+              64);
+
+    FlowOptions fopts;
+    fopts.powerInputsPerWorkload = 1;
+    EXPECT_EQ(resolveAnalysisLanes(fopts.analysis), 64);
+    BespokeFlow flow(fopts);
+    EXPECT_EQ(flow.analyze(workloadByName("binSearch")).lanesUsed, 64);
+
+    EXPECT_EQ(resolveAnalysisLanes(SchedulerOptions{}.flow.analysis), 64);
+}
+
+TEST(LaneDefault, DefaultsMatchScalarUntoggledSetOnGoldenApps)
+{
+    FlowOptions fopts;
+    fopts.powerInputsPerWorkload = 1;
+    BespokeFlow default_flow(fopts);
+    fopts.analysis.laneWidth = 1;
+    BespokeFlow scalar_flow(fopts);
+    std::vector<std::string> apps;
+    for (const Golden &g : kGolden) {
+        SCOPED_TRACE(g.workload);
+        apps.push_back(g.workload);
+        const Workload &w = workloadByName(g.workload);
+        AnalysisResult scalar = analyze(g.workload, 1, scalarOpts());
+        expectSameUntoggledSet(*analyzeActivity(core(), w).activity,
+                               *scalar.activity);
+        expectSameUntoggledSet(*default_flow.analyze(w).activity,
+                               *scalar_flow.analyze(w).activity);
+    }
+
+    // Same cut, metrics and payload from a default scheduler as from
+    // one pinned to the scalar engine.
+    std::vector<JobResult> lane = runTailorJobs(apps, schedulerOpts(64));
+    std::vector<JobResult> scalar = runTailorJobs(apps, schedulerOpts(1));
+    ASSERT_EQ(lane.size(), scalar.size());
+    for (size_t i = 0; i < lane.size(); i++) {
+        EXPECT_TRUE(scalar[i].ok) << scalar[i].error;
+        EXPECT_EQ(lane[i].deterministicJson().dump(),
+                  scalar[i].deterministicJson().dump())
+            << "job " << lane[i].id;
+    }
+}
+
+TEST(LaneDefault, SerialHorizonIsLaneAndThreadIndependent)
+{
+    const Golden &div = kGolden[0];
+    ASSERT_STREQ(div.workload, "div");
+    AsmProgram prog = workloadByName(div.workload).assembleProgram();
+    AnalysisOptions lanes;
+    lanes.laneWidth = 64;
+    // Precondition: lane batching changes div's explored cycle count,
+    // so a horizon read from cyclesSimulated would move with it.
+    ASSERT_NE(analyze(div.workload, 1, lanes).cyclesSimulated, div.cycles);
+
+    lanes.threads = 4;
+    EXPECT_EQ(serialAnalysisHorizon(core(), prog, lanes), div.cycles);
+    EXPECT_EQ(serialAnalysisHorizon(core(), prog, scalarOpts()),
+              div.cycles);
+    ::setenv("BESPOKE_ANALYSIS_LANES", "64", 1);
+    ::setenv("BESPOKE_ANALYSIS_THREADS", "3", 1);
+    EXPECT_EQ(serialAnalysisHorizon(core(), prog, scalarOpts()),
+              div.cycles);
+    ::unsetenv("BESPOKE_ANALYSIS_LANES");
+    ::unsetenv("BESPOKE_ANALYSIS_THREADS");
+}
+
+TEST(LaneDefault, SerialHorizonIsZeroWhenCapped)
+{
+    AsmProgram prog = workloadByName("div").assembleProgram();
+    AnalysisOptions paths;
+    paths.maxPaths = 20;  // div needs 181 serially
+    EXPECT_EQ(serialAnalysisHorizon(core(), prog, paths), 0u);
+    AnalysisOptions cycles;
+    cycles.maxTotalCycles = 500;  // div needs 2956 serially
+    EXPECT_EQ(serialAnalysisHorizon(core(), prog, cycles), 0u);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include "src/bespoke/equiv_check.hh"
 #include "src/bespoke/flow.hh"
 #include "src/verify/runner.hh"
+#include "src/workloads/workloads_impl.hh"
 
 namespace bespoke
 {
@@ -148,6 +149,110 @@ TEST(BespokeFlow, EquivalenceCheckerDetectsRealDifferences)
     EXPECT_FALSE(eq.equivalent && eq.completed)
         << "binSearch-tailored core cannot be equivalent to the "
            "baseline when running mult";
+}
+
+/**
+ * Two loop iterations, each forking on an input bit. At
+ * concreteVisits 2 the lane engine explores about half the serial
+ * engine's cycles, so its cyclesSimulated is not the horizon.
+ */
+Workload
+forkLoop()
+{
+    return Workload{"forkLoop", "input-dependent branch in a loop",
+                    wrapWorkload(R"(
+        mov &IN, r10
+        clr r5
+        mov #2, r4
+lp:     bit #1, r10
+        jz s1
+        nop
+s1:     dec r4
+        jnz lp
+        mov r5, &OUT
+)"),
+                    WorkloadClass::Unit,
+                    1,
+                    [](Rng &rng) {
+                        WorkloadInput in;
+                        in.ramWords.push_back(rng.word());
+                        return in;
+                    },
+                    4000};
+}
+
+FlowOptions
+forkLoopSatOptions(int lanes)
+{
+    FlowOptions opts;
+    opts.powerInputsPerWorkload = 1;
+    opts.analysis.concreteVisits = 2;
+    opts.analysis.laneWidth = lanes;
+    opts.passes.satNeverToggle = true;
+    return opts;
+}
+
+/**
+ * The SAT never-toggle pass's auto depth (sat.depth 0) resolves from
+ * the serial schedule, so the tailored design does not depend on the
+ * lane width that ran the analysis — the "design" checkpoint key
+ * excludes it.
+ */
+TEST(BespokeFlow, SatAutoDepthIsLaneWidthIndependent)
+{
+    Workload w = forkLoop();
+    AsmProgram prog = w.assembleProgram();
+
+    uint64_t hash[2] = {};
+    uint64_t cycles[2] = {};
+    for (int i = 0; i < 2; i++) {
+        FlowOptions opts = forkLoopSatOptions(i == 0 ? 1 : 64);
+        BespokeFlow f(opts);
+        BespokeDesign d = f.tailor(w);
+        hash[i] = d.netlist.contentHash();
+        cycles[i] = d.analysis.cyclesSimulated;
+        EXPECT_EQ(serialAnalysisHorizon(f.baseline(), prog, opts.analysis),
+                  cycles[0]);
+    }
+    ASSERT_NE(cycles[0], cycles[1]);  // the lane schedule differs
+    EXPECT_EQ(hash[0], hash[1]);
+}
+
+/**
+ * A cycle cap the lane run fits under but the serial schedule exceeds:
+ * the analysis completes, yet the auto depth has no horizon, so the
+ * SAT pass is skipped rather than proving over a capped count.
+ */
+TEST(BespokeFlow, SatAutoDepthSkipsPassWhenSerialHorizonCapped)
+{
+    Workload w = forkLoop();
+    AsmProgram prog = w.assembleProgram();
+    FlowOptions opts = forkLoopSatOptions(64);
+    uint64_t serial = 0;
+    uint64_t lane = 0;
+    uint64_t uncapped_hash = 0;
+    {
+        BespokeFlow f(opts);
+        serial = serialAnalysisHorizon(f.baseline(), prog, opts.analysis);
+        lane = f.analyze(w).cyclesSimulated;
+        uncapped_hash = f.tailor(w).netlist.contentHash();
+    }
+    ASSERT_LT(lane, serial);
+    opts.analysis.maxTotalCycles = (lane + serial) / 2;
+
+    BespokeFlow with_sat(opts);
+    EXPECT_EQ(serialAnalysisHorizon(with_sat.baseline(), prog,
+                                    opts.analysis),
+              0u);
+    BespokeDesign d = with_sat.tailor(w);
+    ASSERT_TRUE(d.analysis.completed);
+
+    FlowOptions no_sat_opts = opts;
+    no_sat_opts.passes.satNeverToggle = false;
+    BespokeFlow no_sat(no_sat_opts);
+    uint64_t no_sat_hash = no_sat.tailor(w).netlist.contentHash();
+    ASSERT_NE(uncapped_hash, no_sat_hash);  // the pass does cut here
+    EXPECT_EQ(d.netlist.contentHash(), no_sat_hash);
 }
 
 } // namespace

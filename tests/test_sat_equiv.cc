@@ -73,6 +73,7 @@ TEST(SatEquiv, TailoredDesignProvesEquivalent)
     EXPECT_EQ(res.verdict, sat::SatEquivVerdict::Equivalent)
         << res.detail;
     EXPECT_GT(res.vars, 0u);
+    EXPECT_GT(res.clauses, 0u);
 }
 
 TEST(SatEquiv, CorruptedDesignRefutedWithConfirmedWitness)

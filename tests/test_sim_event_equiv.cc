@@ -243,7 +243,10 @@ TEST(EventEquiv, ActivityAnalysisAgrees)
     sizeForLoads(nl);
     const Workload &w = workloadByName("binSearch");
 
+    // simMode reaches only the scalar engine; the lane engine has one
+    // evaluation mode. Pin the scalar engine so both runs exercise it.
     AnalysisOptions ev_opts;
+    ev_opts.laneWidth = 1;
     ev_opts.simMode = GateSim::EvalMode::EventDriven;
     AnalysisOptions full_opts = ev_opts;
     full_opts.simMode = GateSim::EvalMode::FullEval;

@@ -27,7 +27,7 @@
  *       and SAT never-toggle verdict counts plus solver counters
  *       (conflicts, propagations, learned/kept clauses, DB
  *       reductions) as JSON; --sat-depth bounds the SAT pass's
- *       unrolling envelope (0 = the analysis horizon); --sat-threads
+ *       unrolling envelope (0 = the serial analysis horizon); --sat-threads
  *       parallelizes the prover's candidate shards (0 = all hardware
  *       threads) with verdicts identical at any thread count.
  *       --verify additionally proves the result symbolically
@@ -569,9 +569,12 @@ cmdTailor(const Args &a)
     PassEnv env = makeTailorEnv(app);
     env.program = &prog;
     // Auto depth: the SAT pass's bounded proof covers exactly the
-    // envelope the X-analysis explored.
-    if (popts.satNeverToggle && popts.sat.depth == 0)
-        popts.sat.depth = static_cast<int>(r.cyclesSimulated);
+    // envelope the serial X-analysis explores, whatever lane width
+    // and thread count ran the analysis above.
+    if (popts.satNeverToggle && popts.sat.depth == 0) {
+        popts.sat.depth =
+            static_cast<int>(serialAnalysisHorizon(original, prog, opts));
+    }
     Netlist bespoke_nl = runTailorPipeline(original, r.activity.get(),
                                            popts, env, &cut, &report);
     sizeForLoads(bespoke_nl);
@@ -669,8 +672,10 @@ cmdProve(const Args &a)
     so.threads = a.satThreads;
     sat::SatEquivResult sr =
         sat::proveEquivalentSat(reference, candidate, prog, so);
-    std::printf("sat prove (depth %d): %llu vars, %llu conflicts\n",
+    std::printf("sat prove (depth %d): %llu vars, %llu clauses,"
+                " %llu conflicts\n",
                 sr.depth, static_cast<unsigned long long>(sr.vars),
+                static_cast<unsigned long long>(sr.clauses),
                 static_cast<unsigned long long>(sr.conflicts));
     std::printf("sat prove: %llu chunk quer%s, %llu propagations,"
                 " %llu learned (%llu kept), %llu db reduction(s),"
