@@ -103,7 +103,8 @@ main(int argc, char **argv)
             improved++;
 
         EquivResult eq = checkSymbolicEquivalence(
-            fixed_flow.baseline(), opt.netlist, w.assembleProgram());
+            fixed_flow.baseline(), opt.netlist, w.assembleProgram(),
+            fixed_opts.analysis);
 
         table.row()
             .add(w.name)

@@ -268,10 +268,8 @@ main(int argc, char **argv)
                 double sat_ms = msSince(t0);
 
                 // Default precision (concreteVisits) for the check.
-                AnalysisOptions vopts = io.analysisOptions();
-                vopts.threads = 1;
                 EquivResult sym = checkSymbolicEquivalence(
-                    core, sat_nl, prog, vopts);
+                    core, sat_nl, prog, io.analysisOptions());
                 sat::SatEquivOptions seq;
                 seq.depth = 16;
                 seq.threads = io.satThreads();

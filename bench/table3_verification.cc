@@ -45,8 +45,8 @@ main(int argc, char **argv)
 
         // Method 1: symbolic equivalence (X-based simulation).
         auto t0 = std::chrono::steady_clock::now();
-        EquivResult eq =
-            checkSymbolicEquivalence(flow.baseline(), d.netlist, prog);
+        EquivResult eq = checkSymbolicEquivalence(
+            flow.baseline(), d.netlist, prog, opts.analysis);
         double x_secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();

@@ -116,24 +116,8 @@ runAnalysis(const Netlist &netlist, const AsmProgram &prog,
     auto t0 = std::chrono::steady_clock::now();
     ExplorationContext ctx(netlist, prog, opts, lanes);
     Frontier frontier(opts);
-
-    std::vector<std::unique_ptr<PathExplorer>> workers;
-    workers.reserve(threads);
-    for (int i = 0; i < threads; i++)
-        workers.push_back(
-            std::make_unique<PathExplorer>(ctx, frontier, i));
-    for (auto &w : workers)
-        w->prepare();
-
-    frontier.push(workers[0]->initialItem());
-    if (threads == 1) {
-        // Run inline: bit-identical to the historical serial engine,
-        // with no pool threads to perturb timing-sensitive callers.
-        workers[0]->run();
-    } else {
-        WorkerPool pool(threads);
-        pool.runPerWorker([&](int i) { workers[i]->run(); });
-    }
+    std::vector<std::unique_ptr<PathExplorer>> workers =
+        explore(ctx, frontier, threads);
 
     // Toggle observations are commutative ORs, so merging the
     // per-worker trackers in any order yields the same result.

@@ -123,6 +123,14 @@ Frontier::declareCycleCap()
 }
 
 void
+Frontier::stop()
+{
+    std::lock_guard<std::mutex> lk(m_);
+    stopped_ = true;
+    cv_.notify_all();
+}
+
+void
 Frontier::finishItem()
 {
     std::lock_guard<std::mutex> lk(m_);

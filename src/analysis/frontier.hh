@@ -132,6 +132,12 @@ class Frontier
      * would report a clean quiescent finish.
      */
     void declareCycleCap();
+    /**
+     * End the exploration early without a cap: an observer found
+     * what it was looking for (the equivalence miter fired). Every pop
+     * returns false from now on and capped() stays false.
+     */
+    void stop();
     /// @}
 
     /**

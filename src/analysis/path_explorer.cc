@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "src/util/logging.hh"
+#include "src/util/worker_pool.hh"
 #include "src/verify/runner.hh"
 
 namespace bespoke
@@ -34,13 +35,19 @@ ExplorationContext::ExplorationContext(const Netlist &netlist,
                                        const AsmProgram &prog,
                                        const AnalysisOptions &opts,
                                        int lanes)
-    : soc(SocContext::make(netlist)), prog(prog), opts(opts),
-      lanes(lanes),
+    : ExplorationContext(SocContext::make(netlist), prog, opts, lanes)
+{
+}
+
+ExplorationContext::ExplorationContext(
+    std::shared_ptr<const SocContext> soc, const AsmProgram &prog,
+    const AnalysisOptions &opts, int lanes, GateId stop_net)
+    : soc(std::move(soc)), prog(prog), opts(opts), lanes(lanes),
       planeWidth(resolvePlaneBits(opts.planeBits)),
       batchLanes(lanes <= 1      ? 1
                  : planeWidth > 64 ? planeWidth
                                    : lanes),
-      haltAddrs(haltAddresses(prog))
+      haltAddrs(haltAddresses(prog)), stopNet(stop_net)
 {
     std::sort(haltAddrs.begin(), haltAddrs.end());
 }
@@ -54,9 +61,10 @@ ExplorationContext::isHaltPc(uint16_t pc) const
 PathExplorer::PathExplorer(const ExplorationContext &ctx,
                            Frontier &frontier, int worker_id)
     : ctx_(ctx), frontier_(frontier), workerId_(worker_id),
-      soc_(ctx.soc, ctx.prog, /*ram_unknown=*/true, ctx.opts.simMode),
-      tracker_(ctx.soc->netlist)
+      soc_(ctx.soc, ctx.prog, /*ram_unknown=*/true, ctx.opts.simMode)
 {
+    if (ctx.stopNet == kNoGate)
+        tracker_.emplace(ctx.soc->netlist);
 }
 
 void
@@ -65,7 +73,8 @@ PathExplorer::prepare()
     soc_.setGpioIn(SWord::allX());
     soc_.setIrqExt(ctx_.opts.irqLineUnknown ? Logic::X : Logic::Zero);
     soc_.reset();
-    tracker_.captureInitial(soc_.sim());
+    if (tracker_)
+        tracker_->captureInitial(soc_.sim());
 }
 
 WorkItem
@@ -116,20 +125,70 @@ PathExplorer::restore(const MachineState &s)
     lastFetchPc_ = s.lastFetchPc;
 }
 
+bool
+PathExplorer::observe()
+{
+    observations_++;
+    if (tracker_) {
+        tracker_->observe(soc_.sim());
+        return true;
+    }
+    if (soc_.sim().value(ctx_.stopNet) != Logic::One)
+        return true;
+    stopAt(soc_.sim().values(), lastFetchPc_);
+    return false;
+}
+
+template <int W>
+bool
+PathExplorer::observeLanes(const LaneSocT<W> &ls,
+                           const LaneMask<W> &active)
+{
+    observations_ += laneCount(active);
+    if (tracker_) {
+        tracker_->observe(ls.sim(), active);
+        return true;
+    }
+    const LaneMask<W> hit = ls.sim().oneMask(ctx_.stopNet) & active;
+    if (!laneAny(hit))
+        return true;
+    int lane = 0;
+    while (!laneTest(hit, lane))
+        lane++;
+    std::vector<uint8_t> values;
+    ls.sim().laneValues(lane, values);
+    stopAt(std::move(values), ls.lastFetchPc(lane));
+    return false;
+}
+
+void
+PathExplorer::stopAt(std::vector<uint8_t> values, uint16_t pc)
+{
+    stop_ = StopPoint{std::move(values), frontier_.cycles(), pc};
+    stopped_ = true;
+    frontier_.stop();
+}
+
 std::optional<PathExplorer::XDec>
 PathExplorer::firstXDecision() const
 {
-    if (soc_.decIrq0() == Logic::X) {
-        return XDec{soc_.decIrq0Net(),
-                    static_cast<uint8_t>(DecKind::Irq0)};
-    }
-    if (soc_.decIrq1() == Logic::X) {
-        return XDec{soc_.decIrq1Net(),
-                    static_cast<uint8_t>(DecKind::Irq1)};
-    }
-    if (soc_.decBranch() == Logic::X) {
-        return XDec{soc_.decBranchNet(),
-                    static_cast<uint8_t>(DecKind::Branch)};
+    // On a product netlist a decision forks when either core's is X,
+    // and the fork forces both cores' nets to the same value.
+    const SocContext &c = *ctx_.soc;
+    const SocContext::Follower *f = c.follower ? &*c.follower : nullptr;
+    auto x = [&](GateId port) {
+        return soc_.sim().value(port) == Logic::X;
+    };
+    auto dec = [](DecKind kind, GateId src, GateId fsrc) {
+        return XDec{{src, fsrc}, static_cast<uint8_t>(kind)};
+    };
+    if (x(c.pDecIrq0) || (f && x(f->pDecIrq0)))
+        return dec(DecKind::Irq0, c.decIrq0Src, f ? f->decIrq0Src : kNoGate);
+    if (x(c.pDecIrq1) || (f && x(f->pDecIrq1)))
+        return dec(DecKind::Irq1, c.decIrq1Src, f ? f->decIrq1Src : kNoGate);
+    if (x(c.pDecBranch) || (f && x(f->pDecBranch))) {
+        return dec(DecKind::Branch, c.decBranchSrc,
+                   f ? f->decBranchSrc : kNoGate);
     }
     return std::nullopt;
 }
@@ -158,7 +217,8 @@ PathExplorer::resolveDecisions(bool &forked)
     if (widened) {
         restore(cur);
         soc_.evalOnly();
-        tracker_.observe(soc_.sim());
+        if (!observe())
+            return false;
     }
 
     // Fork: explore both decision values (recursively resolving
@@ -186,14 +246,23 @@ PathExplorer::forkRec(const MachineState &pre,
         soc_.evalOnly();
         auto d = firstXDecision();
         bespoke_assert(d, "fork invariant violated");
-        soc_.sim().force(d->net, v);
+        std::vector<std::pair<GateId, Logic>> f = forces;
+        for (GateId net : d->nets) {
+            if (net != kNoGate) {
+                soc_.sim().force(net, v);
+                f.push_back({net, v});
+            }
+        }
         soc_.evalOnly();
-        tracker_.observe(soc_.sim());
+        if (!observe()) {
+            soc_.sim().clearForces();
+            return;
+        }
         if (firstXDecision()) {
-            std::vector<std::pair<GateId, Logic>> f = forces;
-            f.push_back({d->net, v});
             soc_.sim().clearForces();
             forkRec(pre, f);
+            if (stopped_)
+                return;
             continue;
         }
         // Decision complete: finish the cycle and enqueue the
@@ -205,23 +274,45 @@ PathExplorer::forkRec(const MachineState &pre,
     }
 }
 
+SWord
+PathExplorer::followerPc(SWord pc) const
+{
+    const auto &f = ctx_.soc->follower;
+    return f ? soc_.sim().busWord(f->pPcOut) : pc;
+}
+
+template <int W>
+SWord
+PathExplorer::followerPc(const LaneSocT<W> &ls, int lane, SWord pc) const
+{
+    const auto &f = ctx_.soc->follower;
+    return f ? ls.sim().busWord(f->pPcOut, lane) : pc;
+}
+
 /**
  * Fetch-time PC with X bits: fork one continuation per concrete
  * candidate (known bits fixed, X bits enumerated), keeping only
  * candidates that are instruction heads of the binary. Patching
  * only the PC while the correlated state stays X is a sound
- * over-approximation.
+ * over-approximation. On a product netlist `fpc` is the follower's
+ * PC: candidates agree with the bits either core knows, and both
+ * cores' PC flops are patched.
  */
 void
-PathExplorer::enumerateSymbolicPc(SWord pc, const MachineState &base,
+PathExplorer::enumerateSymbolicPc(SWord pc, SWord fpc,
+                                  const MachineState &base,
                                   uint32_t depth)
 {
-    const std::vector<int> &pc_seq_index = ctx_.soc->pcSeqIndex;
+    const SocContext &c = *ctx_.soc;
+    const SWord both(
+        static_cast<uint16_t>(pc.val | (fpc.val & ~pc.known)),
+        static_cast<uint16_t>(pc.known | fpc.known));
     int x_bits = 0;
     for (int b = 0; b < 16; b++) {
-        if (pc.bit(b) == Logic::X) {
+        if (both.bit(b) == Logic::X)
             x_bits++;
-            bespoke_assert(pc_seq_index[b] >= 0,
+        if (pc.bit(b) == Logic::X) {
+            bespoke_assert(c.pcSeqIndex[b] >= 0,
                            "X PC bit ", b,
                            " is not a flop output; cannot "
                            "enumerate");
@@ -232,20 +323,27 @@ PathExplorer::enumerateSymbolicPc(SWord pc, const MachineState &base,
         if ((cand & 1) || !ctx_.prog.addrToLine.count(cand))
             return;
         MachineState s = base;
-        for (int b = 0; b < 16; b++) {
-            s.seq[pc_seq_index[b]] = static_cast<uint8_t>(
-                (cand >> b) & 1 ? Logic::One : Logic::Zero);
-        }
+        auto patch = [&](const std::vector<int> &pc_seq_index) {
+            for (int b = 0; b < 16; b++) {
+                if (pc_seq_index[b] >= 0) {
+                    s.seq[pc_seq_index[b]] = static_cast<uint8_t>(
+                        (cand >> b) & 1 ? Logic::One : Logic::Zero);
+                }
+            }
+        };
+        patch(c.pcSeqIndex);
+        if (c.follower)
+            patch(c.follower->pcSeqIndex);
         s.lastFetchPc = cand;
         frontier_.push(WorkItem{std::move(s), depth + 1});
     };
 
     if (x_bits <= 8) {
         for (uint32_t combo = 0; combo < (1u << x_bits); combo++) {
-            uint16_t cand = pc.val;
+            uint16_t cand = both.val;
             int xi = 0;
             for (int b = 0; b < 16; b++) {
-                if (pc.bit(b) != Logic::X)
+                if (both.bit(b) != Logic::X)
                     continue;
                 if (combo & (1u << xi))
                     cand |= static_cast<uint16_t>(1u << b);
@@ -258,7 +356,7 @@ PathExplorer::enumerateSymbolicPc(SWord pc, const MachineState &base,
         // instruction head consistent with the known bits is a
         // possible successor.
         for (const auto &[addr, line] : ctx_.prog.addrToLine) {
-            if (((addr ^ pc.val) & pc.known) == 0)
+            if (((addr ^ both.val) & both.known) == 0)
                 push_candidate(addr);
         }
     }
@@ -272,16 +370,18 @@ PathExplorer::runPath(const MachineState &start)
         if (frontier_.cycles() >= ctx_.opts.maxTotalCycles)
             return;
         soc_.evalOnly();
-        tracker_.observe(soc_.sim());
+        if (!observe())
+            return;
 
         // Track instruction boundaries and halting.
         if (soc_.stFetch() == Logic::One) {
             SWord pc = soc_.pc();
-            if (!pc.fullyKnown()) {
+            SWord fpc = followerPc(pc);
+            if (!pc.fullyKnown() || !fpc.fullyKnown()) {
                 // Algorithm 1, line 29: enumerate the possible
                 // concrete PCs (e.g. a merged return address on
                 // the stack) and fork the tree per candidate.
-                enumerateSymbolicPc(pc, capture(), curDepth_);
+                enumerateSymbolicPc(pc, fpc, capture(), curDepth_);
                 return;
             }
             lastFetchPc_ = pc.val;
@@ -291,7 +391,8 @@ PathExplorer::runPath(const MachineState &start)
                     soc_.finishCycle();
                     chargeCycle();
                     soc_.evalOnly();
-                    tracker_.observe(soc_.sim());
+                    if (!observe())
+                        return;
                 }
                 return;
             }
@@ -317,7 +418,8 @@ PathExplorer::runPath(const MachineState &start)
                 // surface new X decisions this very cycle.
                 restore(cur);
                 soc_.evalOnly();
-                tracker_.observe(soc_.sim());
+                if (!observe())
+                    return;
                 bool forked2 = false;
                 if (!resolveDecisions(forked2))
                     return;
@@ -427,6 +529,13 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         frontier_.finishItem();
     };
 
+    // Stop simulating every in-flight lane (budget blown, or the
+    // observer stopped the exploration).
+    auto abandon = [&] {
+        const Mask doomed = active;  // retire() edits `active`
+        forEachLane(doomed, [&](int lane) { retire(lane); });
+    };
+
     auto captureLane = [&](int lane) {
         MachineState s;
         s.seq = ls.seqLane(lane);
@@ -437,18 +546,20 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
 
     while (laneAny(active)) {
         if (frontier_.cycles() >= ctx_.opts.maxTotalCycles) {
-            // Abandon every in-flight lane. The batch may have drained
-            // the whole stack, in which case nobody would be left to
-            // notice the blown budget — declare it here.
+            // The batch may have drained the whole stack, in which
+            // case nobody would be left to notice the blown budget —
+            // declare it here.
             frontier_.declareCycleCap();
-            const Mask doomed = active;  // retire() edits `active`
-            forEachLane(doomed, [&](int lane) { retire(lane); });
+            abandon();
             return;
         }
 
         ls.evalOnly();
-        tracker_.observe(ls.sim(), active);
         laneSweeps_++;
+        if (!observeLanes(ls, active)) {
+            abandon();
+            return;
+        }
 
         // Lanes whose 6-cycle halt observation window just completed
         // (the scalar engine observes the final eval and returns
@@ -464,8 +575,9 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         const Mask fetch = ls.stFetchOneMask() & control;
         forEachLane(fetch, [&](int lane) {
             SWord pc = ls.pc(lane);
-            if (!pc.fullyKnown()) {
-                enumerateSymbolicPc(pc, captureLane(lane),
+            SWord fpc = followerPc(ls, lane, pc);
+            if (!pc.fullyKnown() || !fpc.fullyKnown()) {
+                enumerateSymbolicPc(pc, fpc, captureLane(lane),
                                     depth[lane]);
                 retire(lane);
                 return;
@@ -485,11 +597,17 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         // path through fork resolution and beyond.
         const Mask deciding = ls.decisionXMask() & control;
         forEachLane(deciding, [&](int lane) {
+            if (stopped_)
+                return;
             MachineState s = captureLane(lane);
             curDepth_ = depth[lane];
             runPath(s);
             retire(lane);
         });
+        if (stopped_) {
+            abandon();
+            return;
+        }
 
         if (laneAny(ls.ctlXferXMask() & control))
             bespoke_fatal("ctl_xfer is X outside a decision fork");
@@ -498,6 +616,8 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         // one shard-locked mergePoint per lane, same as serial.
         const Mask xfer = ls.ctlXferOneMask() & control;
         forEachLane(xfer, [&](int lane) {
+            if (stopped_)
+                return;
             MachineState cur = captureLane(lane);
             bool widened;
             if (frontier_.mergePoint(
@@ -512,6 +632,10 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
             }
             // Neither pruned nor widened: the lane simply continues.
         });
+        if (stopped_) {
+            abandon();
+            return;
+        }
 
         if (!laneAny(active))
             break;
@@ -551,7 +675,8 @@ PathExplorer::continueWidened(const MachineState &cur, uint32_t depth)
     restore(cur);
     soc_.sim().clearForces();
     soc_.evalOnly();
-    tracker_.observe(soc_.sim());
+    if (!observe())
+        return;
     bool forked = false;
     if (!resolveDecisions(forked))
         return;
@@ -563,6 +688,29 @@ PathExplorer::continueWidened(const MachineState &cur, uint32_t depth)
     soc_.finishCycle();
     chargeCycle();
     frontier_.push(WorkItem{capture(), depth});
+}
+
+std::vector<std::unique_ptr<PathExplorer>>
+explore(const ExplorationContext &ctx, Frontier &frontier, int threads)
+{
+    std::vector<std::unique_ptr<PathExplorer>> workers;
+    workers.reserve(threads);
+    for (int i = 0; i < threads; i++)
+        workers.push_back(
+            std::make_unique<PathExplorer>(ctx, frontier, i));
+    for (auto &w : workers)
+        w->prepare();
+
+    frontier.push(workers[0]->initialItem());
+    if (threads == 1) {
+        // Run inline: bit-identical to the historical serial engine,
+        // with no pool threads to perturb timing-sensitive callers.
+        workers[0]->run();
+    } else {
+        WorkerPool pool(threads);
+        pool.runPerWorker([&](int i) { workers[i]->run(); });
+    }
+    return workers;
 }
 
 } // namespace bespoke

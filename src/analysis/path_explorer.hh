@@ -17,11 +17,18 @@
  * over. With one worker this reproduces the historical serial engine
  * bit for bit (same LIFO order, same table discipline, same budget
  * checks at the same points).
+ *
+ * Every evaluated cycle goes to one observer slot, chosen by the
+ * context: without a stop net the worker accumulates gate activity in
+ * its ActivityTracker (the analysis); with one it tests that net
+ * instead and stops the whole exploration the first time it reads One
+ * (the symbolic equivalence check's miter, src/bespoke/equiv_check.hh).
  */
 
 #ifndef BESPOKE_ANALYSIS_PATH_EXPLORER_HH
 #define BESPOKE_ANALYSIS_PATH_EXPLORER_HH
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -43,6 +50,10 @@ struct ExplorationContext
 {
     ExplorationContext(const Netlist &netlist, const AsmProgram &prog,
                        const AnalysisOptions &opts, int lanes);
+    /** On a pre-built context (e.g. a product netlist's); see stopNet. */
+    ExplorationContext(std::shared_ptr<const SocContext> soc,
+                       const AsmProgram &prog, const AnalysisOptions &opts,
+                       int lanes, GateId stop_net = kNoGate);
 
     std::shared_ptr<const SocContext> soc;
     const AsmProgram &prog;
@@ -60,6 +71,12 @@ struct ExplorationContext
     int batchLanes;
     /** Sorted `jmp .` addresses; membership via binary search. */
     std::vector<uint16_t> haltAddrs;
+    /**
+     * kNoGate: workers track gate activity. Otherwise workers track
+     * nothing and stop the exploration at the first evaluation where
+     * this net is One (PathExplorer::stopPoint()).
+     */
+    GateId stopNet = kNoGate;
 
     bool isHaltPc(uint16_t pc) const;
 };
@@ -84,7 +101,18 @@ class PathExplorer
     /** Worker loop: explore paths until the frontier is exhausted. */
     void run();
 
-    ActivityTracker &tracker() { return tracker_; }
+    /** The gate activity seen (contexts without a stop net only). */
+    ActivityTracker &tracker() { return *tracker_; }
+
+    /** Where the stop net first read One. */
+    struct StopPoint
+    {
+        std::vector<uint8_t> values;  ///< byte-coded Logic per net
+        uint64_t cycle = 0;   ///< exploration-wide cycles before it
+        uint16_t pc = 0;      ///< last fetch PC of the path
+    };
+    /** Set once this worker stopped the exploration. */
+    const std::optional<StopPoint> &stopPoint() const { return stop_; }
 
     /** @name Per-worker statistics */
     /// @{
@@ -96,24 +124,43 @@ class PathExplorer
     uint64_t gatesEvaluated() const;
     uint64_t laneSweeps() const { return laneSweeps_; }
     uint64_t laneCycles() const { return laneCycles_; }
+    /** Evaluations observed: scalar evaluations plus lane-cycles. */
+    uint64_t observations() const { return observations_; }
     /// @}
 
   private:
     MachineState capture() const;
     void restore(const MachineState &s);
 
-    /** First decision net that is X after evaluation, if any. */
+    /**
+     * Feed the current scalar evaluation to the observer slot. False
+     * means the stop net fired: the caller abandons its path.
+     */
+    bool observe();
+    /** Lane form of observe(), over the lanes in `active`. */
+    template <int W>
+    bool observeLanes(const LaneSocT<W> &ls, const LaneMask<W> &active);
+    void stopAt(std::vector<uint8_t> values, uint16_t pc);
+
+    /**
+     * First decision that is X after evaluation, if any: the net(s) to
+     * force (the follower's too on a product netlist, else kNoGate).
+     */
     struct XDec
     {
-        GateId net;
+        std::array<GateId, 2> nets;
         uint8_t kind;  ///< DecKind, part of the merge-table key
     };
     std::optional<XDec> firstXDecision() const;
     bool resolveDecisions(bool &forked);
     void forkRec(const MachineState &pre,
                  const std::vector<std::pair<GateId, Logic>> &forces);
-    void enumerateSymbolicPc(SWord pc, const MachineState &base,
-                             uint32_t depth);
+    /** The follower's fetch PC (`pc` itself on a single core). */
+    SWord followerPc(SWord pc) const;
+    template <int W>
+    SWord followerPc(const LaneSocT<W> &ls, int lane, SWord pc) const;
+    void enumerateSymbolicPc(SWord pc, SWord fpc,
+                             const MachineState &base, uint32_t depth);
     void runPath(const MachineState &start);
 
     /** @name Lane-batched exploration (ctx.lanes > 1) */
@@ -151,7 +198,11 @@ class PathExplorer
     Frontier &frontier_;
     const int workerId_;
     Soc soc_;
-    ActivityTracker tracker_;
+    /** The observer slot: a tracker, or (empty) the stop net. */
+    std::optional<ActivityTracker> tracker_;
+    std::optional<StopPoint> stop_;
+    bool stopped_ = false;
+    uint64_t observations_ = 0;
     /** Gate visits of this worker's (already destroyed) lane engine. */
     uint64_t laneGateVisits_ = 0;
     uint16_t lastFetchPc_ = 0;
@@ -162,6 +213,15 @@ class PathExplorer
     uint64_t laneSweeps_ = 0;
     uint64_t laneCycles_ = 0;
 };
+
+/**
+ * Explore `ctx`'s execution tree from the reset state with `threads`
+ * workers (inline when 1) until `frontier` is exhausted, capped or
+ * stopped. Returns the workers, for their trackers, counters and
+ * stop points.
+ */
+std::vector<std::unique_ptr<PathExplorer>>
+explore(const ExplorationContext &ctx, Frontier &frontier, int threads);
 
 } // namespace bespoke
 

@@ -1,333 +1,12 @@
 #include "src/bespoke/equiv_check.hh"
 
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "src/util/logging.hh"
-#include "src/verify/runner.hh"
+#include "src/analysis/path_explorer.hh"
+#include "src/bespoke/product_netlist.hh"
 
 namespace bespoke
 {
-
-namespace
-{
-
-/** Joint state of the two machines. */
-struct PairState
-{
-    MachineState a;
-    MachineState b;
-
-    bool
-    substateOf(const PairState &c) const
-    {
-        return a.substateOf(c.a) && b.substateOf(c.b);
-    }
-
-    static PairState
-    merge(const PairState &x, const PairState &y)
-    {
-        return {MachineState::merge(x.a, y.a),
-                MachineState::merge(x.b, y.b)};
-    }
-
-    uint64_t
-    hash() const
-    {
-        return a.hash() * 0x9e3779b97f4a7c15ull + b.hash();
-    }
-};
-
-class EquivEngine
-{
-  public:
-    EquivEngine(const Netlist &na, const Netlist &nb,
-                const AsmProgram &prog, const AnalysisOptions &opts)
-        : prog_(prog), opts_(opts), socA_(na, prog, true),
-          socB_(nb, prog, true), haltAddrs_(haltAddresses(prog))
-    {
-        // Output ports to compare, by name (present in both designs).
-        for (const auto &[name, id] : na.ports()) {
-            if (na.gate(id).type != CellType::OUTPUT)
-                continue;
-            if (nb.hasPort(name))
-                ports_.push_back({id, nb.port(name), name});
-        }
-    }
-
-    EquivResult
-    run()
-    {
-        EquivResult res;
-        socA_.setGpioIn(SWord::allX());
-        socA_.setIrqExt(Logic::X);
-        socA_.reset();
-        socB_.setGpioIn(SWord::allX());
-        socB_.setIrqExt(Logic::X);
-        socB_.reset();
-
-        work_.push_back(capture());
-        while (!work_.empty() && res.equivalent) {
-            if (res.pathsExplored >= opts_.maxPaths ||
-                cycles_ >= opts_.maxTotalCycles) {
-                res.completed = false;
-                break;
-            }
-            PairState s = std::move(work_.back());
-            work_.pop_back();
-            res.pathsExplored++;
-            runPath(std::move(s), res);
-        }
-        res.cyclesChecked = cycles_;
-        return res;
-    }
-
-  private:
-    PairState
-    capture() const
-    {
-        PairState s;
-        s.a.seq = socA_.sim().seqState();
-        s.a.env = socA_.envState();
-        s.a.lastFetchPc = lastFetchPc_;
-        s.b.seq = socB_.sim().seqState();
-        s.b.env = socB_.envState();
-        s.b.lastFetchPc = lastFetchPc_;
-        return s;
-    }
-
-    void
-    restore(const PairState &s)
-    {
-        socA_.sim().restoreSeqState(s.a.seq);
-        socA_.restoreEnvState(s.a.env);
-        socB_.sim().restoreSeqState(s.b.seq);
-        socB_.restoreEnvState(s.b.env);
-        lastFetchPc_ = s.a.lastFetchPc;
-    }
-
-    void
-    evalBoth()
-    {
-        socA_.evalOnly();
-        socB_.evalOnly();
-    }
-
-    void
-    finishBoth()
-    {
-        socA_.finishCycle();
-        socB_.finishCycle();
-        cycles_++;
-    }
-
-    bool
-    compareOutputs(EquivResult &res)
-    {
-        for (const auto &p : ports_) {
-            Logic va = socA_.sim().value(p.idA);
-            Logic vb = socB_.sim().value(p.idB);
-            res.outputsCompared++;
-            if (isKnown(va) && isKnown(vb) && va != vb) {
-                std::ostringstream os;
-                os << "output '" << p.name << "' differs at cycle "
-                   << cycles_ << " (pc 0x" << std::hex << lastFetchPc_
-                   << "): original=" << logicChar(va)
-                   << " bespoke=" << logicChar(vb);
-                res.firstMismatch = os.str();
-                res.equivalent = false;
-                return false;
-            }
-        }
-        return true;
-    }
-
-    bool
-    compareRam(EquivResult &res)
-    {
-        const auto &ra = socA_.ram();
-        const auto &rb = socB_.ram();
-        for (size_t i = 0; i < ra.size(); i++) {
-            uint16_t both = ra[i].known & rb[i].known;
-            if ((ra[i].val ^ rb[i].val) & both) {
-                std::ostringstream os;
-                os << "data memory differs at 0x" << std::hex
-                   << (kRamBase + 2 * i) << ": original "
-                   << ra[i].toString() << " vs bespoke "
-                   << rb[i].toString();
-                res.firstMismatch = os.str();
-                res.equivalent = false;
-                return false;
-            }
-        }
-        return true;
-    }
-
-    bool
-    mergePoint(uint32_t key, PairState &cur, bool &widened)
-    {
-        widened = false;
-        if (!exactSeen_[key].insert(cur.hash()).second)
-            return true;
-        int &visits = visitCount_[key];
-        visits++;
-        if (visits <= opts_.concreteVisits)
-            return false;
-        auto it = conservative_.find(key);
-        if (it == conservative_.end()) {
-            conservative_.emplace(key, cur);
-            return false;
-        }
-        if (cur.substateOf(it->second))
-            return true;
-        it->second = PairState::merge(it->second, cur);
-        cur = it->second;
-        widened = true;
-        return false;
-    }
-
-    /** Decision values come from machine A; forced in both. */
-    struct XDec
-    {
-        GateId netA;
-        GateId netB;
-        int kind;
-    };
-
-    std::optional<XDec>
-    firstXDecision() const
-    {
-        if (socA_.decIrq0() == Logic::X || socB_.decIrq0() == Logic::X)
-            return XDec{socA_.decIrq0Net(), socB_.decIrq0Net(), 1};
-        if (socA_.decIrq1() == Logic::X || socB_.decIrq1() == Logic::X)
-            return XDec{socA_.decIrq1Net(), socB_.decIrq1Net(), 2};
-        if (socA_.decBranch() == Logic::X ||
-            socB_.decBranch() == Logic::X) {
-            return XDec{socA_.decBranchNet(), socB_.decBranchNet(), 0};
-        }
-        return std::nullopt;
-    }
-
-    void
-    forkRec(const PairState &pre,
-            const std::vector<std::pair<XDec, Logic>> &forces)
-    {
-        for (Logic v : {Logic::Zero, Logic::One}) {
-            restore(pre);
-            socA_.sim().clearForces();
-            socB_.sim().clearForces();
-            for (const auto &[dec, val] : forces) {
-                socA_.sim().force(dec.netA, val);
-                socB_.sim().force(dec.netB, val);
-            }
-            evalBoth();
-            auto d = firstXDecision();
-            bespoke_assert(d, "fork invariant violated");
-            socA_.sim().force(d->netA, v);
-            socB_.sim().force(d->netB, v);
-            evalBoth();
-            if (firstXDecision()) {
-                auto f = forces;
-                f.push_back({*d, v});
-                socA_.sim().clearForces();
-                socB_.sim().clearForces();
-                forkRec(pre, f);
-                continue;
-            }
-            finishBoth();
-            socA_.sim().clearForces();
-            socB_.sim().clearForces();
-            work_.push_back(capture());
-        }
-    }
-
-    void
-    runPath(PairState start, EquivResult &res)
-    {
-        restore(start);
-        while (true) {
-            if (cycles_ >= opts_.maxTotalCycles)
-                return;
-            evalBoth();
-            if (!compareOutputs(res))
-                return;
-
-            if (socA_.stFetch() == Logic::One) {
-                SWord pc = socA_.pc();
-                if (!pc.fullyKnown())
-                    return;  // PC enumeration handled by the analysis;
-                             // for equivalence we stop this path after
-                             // having compared everything up to here.
-                lastFetchPc_ = pc.val;
-                bool halted = false;
-                for (uint16_t h : haltAddrs_)
-                    halted |= h == pc.val;
-                if (halted) {
-                    compareRam(res);
-                    return;
-                }
-            }
-
-            auto d = firstXDecision();
-            if (d) {
-                PairState cur = capture();
-                bool widened;
-                if (mergePoint((lastFetchPc_ << 2) |
-                                   static_cast<uint32_t>(d->kind),
-                               cur, widened)) {
-                    return;
-                }
-                if (widened)
-                    restore(cur);
-                forkRec(cur, {});
-                return;
-            }
-
-            if (socA_.ctlXfer() == Logic::One) {
-                PairState cur = capture();
-                bool widened;
-                if (mergePoint((lastFetchPc_ << 2) | 3u, cur, widened))
-                    return;
-                if (widened) {
-                    restore(cur);
-                    evalBoth();
-                    if (!compareOutputs(res))
-                        return;
-                    if (firstXDecision()) {
-                        PairState cur2 = capture();
-                        forkRec(cur2, {});
-                        return;
-                    }
-                }
-            }
-            finishBoth();
-        }
-    }
-
-    struct PortPair
-    {
-        GateId idA;
-        GateId idB;
-        std::string name;
-    };
-
-    const AsmProgram &prog_;
-    AnalysisOptions opts_;
-    Soc socA_;
-    Soc socB_;
-    std::vector<uint16_t> haltAddrs_;
-    std::vector<PortPair> ports_;
-    std::vector<PairState> work_;
-    std::unordered_map<uint32_t, PairState> conservative_;
-    std::unordered_map<uint32_t, int> visitCount_;
-    std::unordered_map<uint32_t, std::unordered_set<uint64_t>>
-        exactSeen_;
-    uint16_t lastFetchPc_ = 0;
-    uint64_t cycles_ = 0;
-};
-
-} // namespace
 
 EquivResult
 checkSymbolicEquivalence(const Netlist &original,
@@ -335,8 +14,38 @@ checkSymbolicEquivalence(const Netlist &original,
                          const AsmProgram &prog,
                          const AnalysisOptions &opts)
 {
-    EquivEngine engine(original, bespoke_nl, prog, opts);
-    return engine.run();
+    ProductNetlist product = buildProductNetlist(original, bespoke_nl);
+    ExplorationContext ctx(
+        SocContext::make(product.netlist, kFollowerPrefix), prog, opts,
+        resolveAnalysisLanes(opts), product.miter);
+    Frontier frontier(opts);
+    // One worker, whatever opts.threads says (see the header).
+    std::vector<std::unique_ptr<PathExplorer>> workers =
+        explore(ctx, frontier, 1);
+    const PathExplorer &w = *workers[0];
+
+    EquivResult res;
+    res.completed = !frontier.capped();
+    res.pathsExplored = frontier.pathsExplored();
+    res.cyclesChecked = frontier.cycles();
+    res.outputsCompared = w.observations() * product.pairs.size();
+    if (const auto &stop = w.stopPoint()) {
+        res.equivalent = false;
+        for (const ProductPortPair &pp : product.pairs) {
+            Logic va = static_cast<Logic>(stop->values[pp.leader]);
+            Logic vb = static_cast<Logic>(stop->values[pp.follower]);
+            if (!isKnown(va) || !isKnown(vb) || va == vb)
+                continue;
+            std::ostringstream os;
+            os << "output '" << pp.name << "' differs at cycle "
+               << stop->cycle << " (pc 0x" << std::hex << stop->pc
+               << "): original=" << logicChar(va)
+               << " bespoke=" << logicChar(vb);
+            res.firstMismatch = os.str();
+            break;
+        }
+    }
+    return res;
 }
 
 } // namespace bespoke

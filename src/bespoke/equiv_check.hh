@@ -3,12 +3,27 @@
  * Symbolic equivalence check between the original and a bespoke
  * processor (paper Sec. 5.1, first verification method).
  *
- * Both netlists are driven through the same input-independent symbolic
- * execution tree (same X inputs, same forced decisions at forks); every
- * cycle, all primary outputs are compared, and at the end of every path
- * the data memories are compared. A mismatch is any net/location where
- * both designs hold *known* values that differ — an X in the original
- * is an over-approximation and cannot witness inequivalence.
+ * The two cores are built side by side as one product netlist
+ * (product_netlist.hh) and explored with the activity analysis' own
+ * path explorer, lanes and budgets included: the same X inputs, one
+ * shared memory, and one input-independent execution tree. Three rules
+ * make the tree a co-simulation of both cores:
+ *  - both cores read the leader's memory, and every cycle compares
+ *    every output both designs have, the memory bus included;
+ *  - a decision forks when either core's decision net is X, and each
+ *    branch forces both cores' nets to the same value;
+ *  - a partially known fetch PC is enumerated over the candidates that
+ *    agree with the bits either core knows, patching both cores' PC
+ *    flops.
+ * A mismatch is any output pair where both designs hold *known* values
+ * that differ — an X in the original is an over-approximation and
+ * cannot witness inequivalence. The first mismatch stops the check.
+ *
+ * The exploration always runs on one (lane-batched) worker, whatever
+ * opts.threads or BESPOKE_ANALYSIS_THREADS say: the multi-worker
+ * schedule changes which states are merged, so path and cycle counts
+ * (and the reported first mismatch) would vary from run to run. The
+ * lane knobs (laneWidth, planeBits) are honoured.
  *
  * Note that industrial equivalence checkers cannot perform this check:
  * the designs are only equivalent *for this application*, not in
@@ -29,7 +44,9 @@ struct EquivResult
     bool completed = true;  ///< exploration finished under the caps
     uint64_t cyclesChecked = 0;
     uint64_t pathsExplored = 0;
+    /** Port pairs times evaluated cycles (scalar or per lane). */
     uint64_t outputsCompared = 0;
+    /** Port, exploration-wide cycle and PC of the first mismatch. */
     std::string firstMismatch;
 };
 

@@ -522,8 +522,11 @@ JobScheduler::runJob(const JobSpec &spec)
 
     if (res.error.empty()) {
         // Lease analysis workers from the shared budget (FIFO; blocks
-        // until granted). 0 asks for the whole budget.
-        int want = spec.threads <= 0 ? budget_.total() : spec.threads;
+        // until granted). 0 asks for the whole budget. A check job's
+        // symbolic leg runs on one worker, so it leases one.
+        int want = spec.kind == "check" ? 1
+                   : spec.threads <= 0  ? budget_.total()
+                                        : spec.threads;
         ThreadLease lease = budget_.acquire(want);
         res.threadsUsed = lease.threads();
 
@@ -544,7 +547,6 @@ JobScheduler::runJob(const JobSpec &spec)
             if (res.error.empty()) {
                 sizeForLoads(reference, opts_.flow.timing);
                 AnalysisOptions aopts = opts_.flow.analysis;
-                aopts.threads = lease.threads();
                 auto tc = std::chrono::steady_clock::now();
                 EquivResult eq = checkSymbolicEquivalence(
                     reference, baseline, apps[0]->assembleProgram(),

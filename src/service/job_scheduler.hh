@@ -68,7 +68,9 @@ struct JobSpec
     std::string core;
     /** check only: reference netlist file ("" = build the core). */
     std::string against;
-    /** Analysis workers to lease from the budget (0 = whole budget). */
+    /** Analysis workers to lease from the budget (0 = whole budget).
+     *  check jobs always lease one: the symbolic check runs on one
+     *  worker. */
     int threads = 1;
     /** Flow overrides; 0 keeps the scheduler's base FlowOptions. */
     int powerInputs = 0;

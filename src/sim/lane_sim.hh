@@ -214,10 +214,17 @@ class LaneSocT
     {
         return sim_.oneMask(ctx_->pStFetch);
     }
+    /** Lanes where any decision net is X (either core's on a
+     *  product netlist). */
     Mask decisionXMask() const
     {
-        return sim_.xMask(ctx_->pDecIrq0) | sim_.xMask(ctx_->pDecIrq1) |
-               sim_.xMask(ctx_->pDecBranch);
+        Mask m = sim_.xMask(ctx_->pDecIrq0) | sim_.xMask(ctx_->pDecIrq1) |
+                 sim_.xMask(ctx_->pDecBranch);
+        if (const auto &f = ctx_->follower) {
+            m |= sim_.xMask(f->pDecIrq0) | sim_.xMask(f->pDecIrq1) |
+                 sim_.xMask(f->pDecBranch);
+        }
+        return m;
     }
     const Mask &ctlXferOneMask() const
     {

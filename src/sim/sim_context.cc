@@ -139,7 +139,31 @@ SimPrep::SimPrep(const Netlist &netlist)
     }
 }
 
-SocContext::SocContext(const Netlist &nl)
+namespace
+{
+
+/** SeqState index of the flop driving each pc_out bit (-1 if none). */
+std::vector<int>
+pcFlopIndex(const Netlist &nl, const SimPrep &prep,
+            const std::vector<GateId> &pc_out)
+{
+    std::vector<int> index(pc_out.size(), -1);
+    for (size_t b = 0; b < pc_out.size(); b++) {
+        GateId src = nl.gate(pc_out[b]).in[0];
+        for (size_t i = 0; i < prep.seqIds.size(); i++) {
+            if (prep.seqIds[i] == src) {
+                index[b] = static_cast<int>(i);
+                break;
+            }
+        }
+    }
+    return index;
+}
+
+} // namespace
+
+SocContext::SocContext(const Netlist &nl,
+                       const std::string &follower_prefix)
     : netlist(nl), prep(std::make_shared<const SimPrep>(nl))
 {
     pMemRdata = nl.bus("mem_rdata", 16);
@@ -164,16 +188,21 @@ SocContext::SocContext(const Netlist &nl)
     // Locate the PC flops through the pc_out port; the activity
     // analysis patches these SeqState slots when it enumerates the
     // concrete candidates of a partially-known fetch PC.
-    pcSeqIndex.assign(16, -1);
-    for (int b = 0; b < 16; b++) {
-        GateId src = nl.gate(pPcOut[b]).in[0];
-        for (size_t i = 0; i < prep->seqIds.size(); i++) {
-            if (prep->seqIds[i] == src) {
-                pcSeqIndex[b] = static_cast<int>(i);
-                break;
-            }
-        }
-    }
+    pcSeqIndex = pcFlopIndex(nl, *prep, pPcOut);
+
+    if (follower_prefix.empty())
+        return;
+    const std::string &p = follower_prefix;
+    Follower f;
+    f.pDecBranch = nl.port(p + "dec_branch");
+    f.pDecIrq0 = nl.port(p + "dec_irq0");
+    f.pDecIrq1 = nl.port(p + "dec_irq1");
+    f.decBranchSrc = nl.gate(f.pDecBranch).in[0];
+    f.decIrq0Src = nl.gate(f.pDecIrq0).in[0];
+    f.decIrq1Src = nl.gate(f.pDecIrq1).in[0];
+    f.pPcOut = nl.bus(p + "pc_out", 16);
+    f.pcSeqIndex = pcFlopIndex(nl, *prep, f.pPcOut);
+    follower = std::move(f);
 }
 
 } // namespace bespoke

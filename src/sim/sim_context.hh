@@ -19,6 +19,8 @@
 #define BESPOKE_SIM_SIM_CONTEXT_HH
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/netlist/netlist.hh"
@@ -93,12 +95,21 @@ struct SimPrep
  */
 struct SocContext
 {
-    explicit SocContext(const Netlist &netlist);
+    /**
+     * @param follower_prefix non-empty on a product netlist (two cores
+     *        side by side, src/bespoke/product_netlist.hh): the port
+     *        name prefix of the second core, whose decision nets and
+     *        PC flops are then resolved into `follower`.
+     */
+    explicit SocContext(const Netlist &netlist,
+                        const std::string &follower_prefix = {});
 
     /** Build a shareable context (the common spelling at call sites). */
-    static std::shared_ptr<const SocContext> make(const Netlist &netlist)
+    static std::shared_ptr<const SocContext>
+    make(const Netlist &netlist, const std::string &follower_prefix = {})
     {
-        return std::make_shared<const SocContext>(netlist);
+        return std::make_shared<const SocContext>(netlist,
+                                                  follower_prefix);
     }
 
     const Netlist &netlist;
@@ -117,6 +128,24 @@ struct SocContext
      * the analysis cannot enumerate an X value for it).
      */
     std::vector<int> pcSeqIndex;
+
+    /**
+     * The second core of a product netlist. The ports above name the
+     * first core (the leader), which drives the behavioral memory;
+     * the follower shares its inputs. Path exploration treats a
+     * decision as X when either core's is, forces both cores' decision
+     * nets together, and patches both cores' PC flops when it
+     * enumerates a symbolic fetch PC.
+     */
+    struct Follower
+    {
+        GateId pDecBranch, pDecIrq0, pDecIrq1;
+        GateId decBranchSrc, decIrq0Src, decIrq1Src;
+        std::vector<GateId> pPcOut;
+        /** As pcSeqIndex, for the follower's pc_out bits. */
+        std::vector<int> pcSeqIndex;
+    };
+    std::optional<Follower> follower;
 };
 
 } // namespace bespoke

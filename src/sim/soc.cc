@@ -217,24 +217,6 @@ Soc::ctlXfer() const
     return sim_.value(ctx_->pCtlXfer);
 }
 
-Logic
-Soc::decBranch() const
-{
-    return sim_.value(ctx_->pDecBranch);
-}
-
-Logic
-Soc::decIrq0() const
-{
-    return sim_.value(ctx_->pDecIrq0);
-}
-
-Logic
-Soc::decIrq1() const
-{
-    return sim_.value(ctx_->pDecIrq1);
-}
-
 SWord
 Soc::ramWord(uint16_t byte_addr) const
 {

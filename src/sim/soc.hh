@@ -112,13 +112,6 @@ class Soc
     SWord pc() const;
     Logic stFetch() const;
     Logic ctlXfer() const;
-    Logic decBranch() const;
-    Logic decIrq0() const;
-    Logic decIrq1() const;
-    /** Net driving a decision output port (target for force()). */
-    GateId decBranchNet() const { return ctx_->decBranchSrc; }
-    GateId decIrq0Net() const { return ctx_->decIrq0Src; }
-    GateId decIrq1Net() const { return ctx_->decIrq1Src; }
     SWord ramWord(uint16_t byte_addr) const;
     void pokeRamWord(uint16_t byte_addr, SWord w);
     const std::vector<SWord> &ram() const { return env_.ram; }

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "src/cpu/bsp430.hh"
+#include "src/io/netlist_json.hh"
 #include "src/service/job_scheduler.hh"
 
 namespace fs = std::filesystem;
@@ -359,6 +361,29 @@ TEST(JobScheduler, FailedJobDoesNotAbortQueue)
               std::string::npos);
     EXPECT_TRUE(results[2].ok);
     EXPECT_EQ(sched.failures(), 2u);
+}
+
+/**
+ * A check job's symbolic leg runs on one worker, so it leases one
+ * thread even when its spec asks for the whole budget, leaving the
+ * rest for queued jobs.
+ */
+TEST(JobScheduler, CheckJobLeasesOneThread)
+{
+    JobSpec check;
+    check.kind = "check";
+    check.apps = {"mult"};
+    check.netlistInline = netlistToJsonText(buildBsp430());
+    check.threads = 0;
+    JobSpec tailor = tailorSpec("mult");
+    tailor.threads = 0;
+
+    std::vector<JobResult> results = runQueue({check, tailor},
+                                              fastOpts(1, 4));
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(results[0].threadsUsed, 1);
+    EXPECT_EQ(results[1].threadsUsed, 4);
 }
 
 /**

@@ -34,12 +34,15 @@
  *       equivalent to the imported original for the application and
  *       cross-checks with a bounded CDCL miter (fixed shallow depth
  *       and conflict budget — use `prove` for deeper miters).
+ *       --threads sets the analysis workers; the symbolic leg of
+ *       --verify always runs on one (see `check`).
  *       --checkpoint-dir caches the analysis artifact keyed by
  *       (netlist hash, program hash, options hash).
  *   bespoke_io check   -i FILE --app NAME [--against FILE]
  *       Symbolic equivalence of an imported netlist against a freshly
  *       built baseline core (or a second imported file) for one
- *       application.
+ *       application. The check runs on one lane-batched worker, so
+ *       --threads is rejected here.
  *   bespoke_io prove   -i FILE --app NAME [--against FILE]
  *                      [--sat-depth N] [--sat-threads N]
  *       Independent SAT equivalence check (src/sat/): bounded miter
@@ -228,6 +231,7 @@ struct Args
     bool progress = false;
     bool miter = false;
     int threads = 1;
+    bool threadsSet = false;  ///< --threads given (check rejects it)
     int jobThreads = 1;
     int workerThreads = 0;
     int satDepth = 0;    ///< 0 = per-command default
@@ -280,8 +284,10 @@ parseArgs(int argc, char **argv)
             a.satThreads = std::atoi(value().c_str());
         else if (arg == "--max-queued")
             a.maxQueued = std::strtoull(value().c_str(), nullptr, 10);
-        else if (arg == "--threads")
+        else if (arg == "--threads") {
             a.threads = std::atoi(value().c_str());
+            a.threadsSet = true;
+        }
         else if (arg == "--job-threads")
             a.jobThreads = std::atoi(value().c_str());
         else if (arg == "--worker-threads")
@@ -632,16 +638,16 @@ cmdCheck(const Args &a)
 {
     if (a.in.empty() || a.app.empty())
         usage("check needs -i FILE and --app NAME");
+    if (a.threadsSet)
+        usage("check takes no --threads: the symbolic check runs on"
+              " one worker");
     Netlist candidate = importFile(a.in);
     Netlist reference =
         a.against.empty() ? buildCore(a.core) : importFile(a.against);
 
     const Workload &app = workloadByName(a.app);
     AsmProgram prog = app.assembleProgram();
-    AnalysisOptions opts;
-    opts.threads = a.threads;
-    EquivResult eq =
-        checkSymbolicEquivalence(reference, candidate, prog, opts);
+    EquivResult eq = checkSymbolicEquivalence(reference, candidate, prog);
     if (!eq.equivalent || !eq.completed)
         fail("NOT equivalent for '" + a.app + "': " + eq.firstMismatch);
     std::printf("equivalent for '%s': %llu outputs compared across"
