@@ -52,6 +52,7 @@ MachineState::merge(const MachineState &a, const MachineState &b)
                        : static_cast<uint8_t>(Logic::X);
     }
     m.env = EnvState::merge(a.env, b.env);
+    m.cycle = std::min(a.cycle, b.cycle);
     return m;
 }
 

@@ -44,6 +44,10 @@ struct MachineState
     SeqState seq;
     EnvState env;
     uint16_t lastFetchPc = 0;
+    /** Cycles finished since reset on the path that reached this
+     *  state (the smaller one for a merged state). Bookkeeping only:
+     *  substateOf() and hash() ignore it. */
+    uint64_t cycle = 0;
 
     bool substateOf(const MachineState &c) const;
     static MachineState merge(const MachineState &a,

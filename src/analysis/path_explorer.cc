@@ -114,6 +114,7 @@ PathExplorer::capture() const
     s.seq = soc_.sim().seqState();
     s.env = soc_.envState();
     s.lastFetchPc = lastFetchPc_;
+    s.cycle = curCycle_;
     return s;
 }
 
@@ -123,6 +124,7 @@ PathExplorer::restore(const MachineState &s)
     soc_.sim().restoreSeqState(s.seq);
     soc_.restoreEnvState(s.env);
     lastFetchPc_ = s.lastFetchPc;
+    curCycle_ = s.cycle;
 }
 
 bool
@@ -135,14 +137,15 @@ PathExplorer::observe()
     }
     if (soc_.sim().value(ctx_.stopNet) != Logic::One)
         return true;
-    stopAt(soc_.sim().values(), lastFetchPc_);
+    stopAt(soc_.sim().values(), curCycle_, lastFetchPc_);
     return false;
 }
 
 template <int W>
 bool
 PathExplorer::observeLanes(const LaneSocT<W> &ls,
-                           const LaneMask<W> &active)
+                           const LaneMask<W> &active,
+                           const uint64_t *lane_cycle)
 {
     observations_ += laneCount(active);
     if (tracker_) {
@@ -157,14 +160,15 @@ PathExplorer::observeLanes(const LaneSocT<W> &ls,
         lane++;
     std::vector<uint8_t> values;
     ls.sim().laneValues(lane, values);
-    stopAt(std::move(values), ls.lastFetchPc(lane));
+    stopAt(std::move(values), lane_cycle[lane], ls.lastFetchPc(lane));
     return false;
 }
 
 void
-PathExplorer::stopAt(std::vector<uint8_t> values, uint16_t pc)
+PathExplorer::stopAt(std::vector<uint8_t> values, uint64_t cycle,
+                     uint16_t pc)
 {
-    stop_ = StopPoint{std::move(values), frontier_.cycles(), pc};
+    stop_ = StopPoint{std::move(values), cycle, pc};
     stopped_ = true;
     frontier_.stop();
 }
@@ -505,6 +509,7 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
     const size_t width =
         std::min<size_t>(W, static_cast<size_t>(ctx_.batchLanes));
     std::array<uint32_t, W> depth{};
+    std::array<uint64_t, W> cycle{};  ///< cycles since reset, per lane
     std::array<int, W> haltCnt{};
     Mask active{};   ///< lanes being simulated and observed
     Mask control{};  ///< active lanes not in a halt countdown
@@ -513,6 +518,7 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         ls.loadLane(lane, it.state.seq, it.state.env,
                     it.state.lastFetchPc);
         depth[lane] = it.depth;
+        cycle[lane] = it.state.cycle;
         haltCnt[lane] = -1;
         laneSet(active, lane);
         laneSet(control, lane);
@@ -541,6 +547,7 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
         s.seq = ls.seqLane(lane);
         s.env = ls.envLane(lane);
         s.lastFetchPc = ls.lastFetchPc(lane);
+        s.cycle = cycle[lane];
         return s;
     };
 
@@ -556,7 +563,7 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
 
         ls.evalOnly();
         laneSweeps_++;
-        if (!observeLanes(ls, active)) {
+        if (!observeLanes(ls, active, cycle.data())) {
             abandon();
             return;
         }
@@ -641,6 +648,7 @@ PathExplorer::laneSweep(LaneSocT<W> &ls, std::vector<WorkItem> batch)
             break;
 
         ls.finishCycle(active);
+        forEachLane(active, [&](int lane) { cycle[lane]++; });
         uint64_t n = laneCount(active);
         cycles_ += n;
         laneCycles_ += n;

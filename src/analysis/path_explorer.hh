@@ -108,7 +108,7 @@ class PathExplorer
     struct StopPoint
     {
         std::vector<uint8_t> values;  ///< byte-coded Logic per net
-        uint64_t cycle = 0;   ///< exploration-wide cycles before it
+        uint64_t cycle = 0;   ///< cycles since reset on its path
         uint16_t pc = 0;      ///< last fetch PC of the path
     };
     /** Set once this worker stopped the exploration. */
@@ -139,8 +139,9 @@ class PathExplorer
     bool observe();
     /** Lane form of observe(), over the lanes in `active`. */
     template <int W>
-    bool observeLanes(const LaneSocT<W> &ls, const LaneMask<W> &active);
-    void stopAt(std::vector<uint8_t> values, uint16_t pc);
+    bool observeLanes(const LaneSocT<W> &ls, const LaneMask<W> &active,
+                      const uint64_t *lane_cycle);
+    void stopAt(std::vector<uint8_t> values, uint64_t cycle, uint16_t pc);
 
     /**
      * First decision that is X after evaluation, if any: the net(s) to
@@ -191,6 +192,7 @@ class PathExplorer
     void chargeCycle()
     {
         cycles_++;
+        curCycle_++;
         frontier_.chargeCycle();
     }
 
@@ -207,6 +209,7 @@ class PathExplorer
     uint64_t laneGateVisits_ = 0;
     uint16_t lastFetchPc_ = 0;
     uint32_t curDepth_ = 0;  ///< fork depth of the current path
+    uint64_t curCycle_ = 0;  ///< cycles since reset on the current path
     uint64_t paths_ = 0;
     uint64_t cycles_ = 0;
     uint64_t forks_ = 0;

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -542,6 +543,15 @@ analysisFromJson(const JsonValue &doc, const Netlist &netlist,
 namespace
 {
 
+std::array<uint64_t, 11>
+satCounts(const PipelineReport &rep)
+{
+    return {rep.satCandidates, rep.satProven,      rep.satRefuted,
+            rep.satUnknown,    rep.satConflicts,   rep.satPropagations,
+            rep.satLearned,    rep.satKept,        rep.satReductions,
+            rep.satRestarts,   rep.satShards};
+}
+
 JsonValue
 pipelineToJson(const PipelineReport &rep)
 {
@@ -581,6 +591,12 @@ pipelineToJson(const PipelineReport &rep)
     }
     jg.set("banks", std::move(banks));
     jp.set("gating", std::move(jg));
+    // SAT never-toggle verdicts and solver counters, in PipelineReport
+    // field order, so a design loaded from the store reports them too.
+    JsonValue sat = JsonValue::array();
+    for (uint64_t n : satCounts(rep))
+        sat.push(JsonValue::number(static_cast<double>(n)));
+    jp.set("sat", std::move(sat));
     return jp;
 }
 
@@ -660,6 +676,32 @@ pipelineFromJson(const JsonValue &jp, PipelineReport *out,
         b.duty = jb.items()[2].asNumber();
         b.savedUW = jb.items()[3].asNumber();
         rep.gating.banks.push_back(b);
+    }
+    // Artifacts saved before the SAT counters were stored have none:
+    // they load as zeros.
+    if (const JsonValue *sat = jp.find("sat")) {
+        std::array<uint64_t, 11> n{};
+        bool ok = sat->isArray() && sat->items().size() == n.size();
+        for (size_t i = 0; ok && i < n.size(); i++) {
+            const JsonValue &v = sat->items()[i];
+            ok = v.isNumber() && v.asNumber() >= 0;
+            n[i] = ok ? static_cast<uint64_t>(v.asNumber()) : 0;
+        }
+        if (!ok) {
+            *err = "pipeline: malformed \"sat\" array";
+            return false;
+        }
+        rep.satCandidates = n[0];
+        rep.satProven = n[1];
+        rep.satRefuted = n[2];
+        rep.satUnknown = n[3];
+        rep.satConflicts = n[4];
+        rep.satPropagations = n[5];
+        rep.satLearned = n[6];
+        rep.satKept = n[7];
+        rep.satReductions = n[8];
+        rep.satRestarts = n[9];
+        rep.satShards = n[10];
     }
     *out = std::move(rep);
     return true;

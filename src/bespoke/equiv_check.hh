@@ -46,7 +46,8 @@ struct EquivResult
     uint64_t pathsExplored = 0;
     /** Port pairs times evaluated cycles (scalar or per lane). */
     uint64_t outputsCompared = 0;
-    /** Port, exploration-wide cycle and PC of the first mismatch. */
+    /** Port, cycle and PC of the first mismatch. The cycle counts from
+     *  reset along the failing path, so it names a replayable point. */
     std::string firstMismatch;
 };
 

@@ -1128,4 +1128,18 @@ buildBsp430(CpuProbes *probes, const CpuConfig &config)
     return gen.build(probes);
 }
 
+bool
+buildCoreByName(const std::string &name, Netlist *out, std::string *err)
+{
+    CpuConfig cfg;
+    if (name == "extended") {
+        cfg = CpuConfig::extended();
+    } else if (!name.empty() && name != "default") {
+        *err = "core must be 'default' or 'extended', got '" + name + "'";
+        return false;
+    }
+    *out = buildBsp430(nullptr, cfg);
+    return true;
+}
+
 } // namespace bespoke

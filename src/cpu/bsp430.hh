@@ -42,6 +42,7 @@
 #define BESPOKE_CPU_BSP430_HH
 
 #include <array>
+#include <string>
 
 #include "src/builder/net_builder.hh"
 #include "src/netlist/netlist.hh"
@@ -111,6 +112,13 @@ struct CpuConfig
 /** Build the bsp430 netlist. Probes are optional. */
 Netlist buildBsp430(CpuProbes *probes = nullptr,
                     const CpuConfig &config = {});
+
+/**
+ * Build the core configuration named `name` ("" or "default", or
+ * "extended"), unsized; false (with *err) for any other name.
+ */
+bool buildCoreByName(const std::string &name, Netlist *out,
+                     std::string *err);
 
 } // namespace bespoke
 

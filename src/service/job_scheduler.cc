@@ -1,15 +1,16 @@
 #include "src/service/job_scheduler.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <cstdio>
 
 #include "src/bespoke/equiv_check.hh"
 #include "src/cpu/bsp430.hh"
+#include "src/io/netlist_file.hh"
 #include "src/io/netlist_json.hh"
-#include "src/io/verilog_import.hh"
 #include "src/mutation/mutant_sweep.hh"
+#include "src/sat/equiv_prover.hh"
 #include "src/timing/sta.hh"
 #include "src/util/logging.hh"
 #include "src/workloads/workload.hh"
@@ -29,73 +30,10 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
-
-bool
 knownKind(const std::string &kind)
 {
     return kind == "tailor" || kind == "verify" || kind == "check" ||
            kind == "mutant_sweep";
-}
-
-/** Read a whole file; false (with diagnostic) instead of dying. */
-bool
-readFileText(const std::string &path, std::string *out,
-             std::string *err)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        *err = "cannot read '" + path + "'";
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    *out = ss.str();
-    return true;
-}
-
-bool
-buildCoreNetlist(const std::string &core, Netlist *out,
-                 std::string *err)
-{
-    CpuConfig cfg;
-    if (core == "extended") {
-        cfg = CpuConfig::extended();
-    } else if (!core.empty() && core != "default") {
-        *err = "core must be 'default' or 'extended', got '" + core +
-               "'";
-        return false;
-    }
-    *out = buildBsp430(nullptr, cfg);
-    return true;
-}
-
-/** Import a netlist file (.v/.json) or inline JSON text, non-fatally. */
-bool
-importNetlistText(const std::string &label, const std::string &text,
-                  bool verilog, Netlist *out, std::string *err)
-{
-    if (verilog) {
-        VerilogImportResult res = importVerilog(text);
-        if (!res.ok) {
-            *err = res.format(label);
-            return false;
-        }
-        *out = std::move(res.netlist);
-        return true;
-    }
-    NetlistJsonResult res = netlistFromJsonText(text);
-    if (!res.ok) {
-        *err = label + ": " + res.error;
-        return false;
-    }
-    *out = std::move(res.netlist);
-    return true;
 }
 
 /**
@@ -107,18 +45,148 @@ bool
 loadBaseline(const JobSpec &spec, Netlist *out, std::string *err)
 {
     if (!spec.netlistInline.empty()) {
-        return importNetlistText("netlist_json", spec.netlistInline,
-                                 false, out, err);
-    }
-    if (!spec.netlist.empty()) {
-        std::string text;
-        if (!readFileText(spec.netlist, &text, err))
+        NetlistJsonResult res = netlistFromJsonText(spec.netlistInline);
+        if (!res.ok) {
+            *err = "netlist_json: " + res.error;
             return false;
-        return importNetlistText(spec.netlist, text,
-                                 endsWith(spec.netlist, ".v"), out,
-                                 err);
+        }
+        *out = std::move(res.netlist);
+        return true;
     }
-    return buildCoreNetlist(spec.core, out, err);
+    if (!spec.netlist.empty())
+        return readNetlistFile(spec.netlist, out, err);
+    return buildCoreByName(spec.core, out, err);
+}
+
+JsonValue
+count(uint64_t n)
+{
+    return JsonValue::number(static_cast<double>(n));
+}
+
+/**
+ * The deterministic payload of a tailored design: the design's size,
+ * timing and power, what the pipeline did (cut, per-pass stats,
+ * rewrites, clock-gating plan, SAT never-toggle verdicts when that pass
+ * ran), and the content hash of the exported netlist.
+ */
+void
+setDesignPayload(JsonValue &p, const std::vector<const Workload *> &apps,
+                 const BespokeDesign &d, bool sat_pass)
+{
+    JsonValue names = JsonValue::array();
+    for (const Workload *w : apps)
+        names.push(JsonValue::str(w->name));
+    p.set("apps", std::move(names));
+    p.set("gates_before", count(d.cut.gatesBefore));
+    p.set("gates_after", count(d.cut.gatesAfter));
+    p.set("flops", count(d.metrics.flops));
+    p.set("area_um2", JsonValue::number(d.metrics.areaUm2));
+    p.set("critical_path_ps", JsonValue::number(d.metrics.criticalPathPs));
+    p.set("vmin", JsonValue::number(d.metrics.vmin));
+    p.set("power_nominal_uw",
+          JsonValue::number(d.metrics.powerNominal.totalUW()));
+    p.set("power_vmin_uw",
+          JsonValue::number(d.metrics.powerAtVmin.totalUW()));
+    char hash[17];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(d.netlist.contentHash()));
+    p.set("netlist_hash", JsonValue::str(hash));
+    p.set("untoggled_cells", count(d.analysis.untoggledCells()));
+
+    JsonValue cut = JsonValue::object();
+    cut.set("gates_before", count(d.cut.gatesBefore));
+    cut.set("gates_cut_direct", count(d.cut.gatesCutDirect));
+    cut.set("gates_after", count(d.cut.gatesAfter));
+    p.set("cut", std::move(cut));
+
+    const PipelineReport &rep = d.pipeline;
+    JsonValue passes = JsonValue::array();
+    for (const PassStats &s : rep.passes) {
+        // Power and depth are -1 unless the base FlowOptions collect
+        // pipeline metrics; wall_ms is volatile (the "design" stage).
+        JsonValue jp = JsonValue::object();
+        jp.set("name", JsonValue::str(s.name));
+        jp.set("changes", count(s.changes));
+        jp.set("gates_before", count(s.gatesBefore));
+        jp.set("gates_after", count(s.gatesAfter));
+        jp.set("power_before_uw", JsonValue::number(s.powerBeforeUW));
+        jp.set("power_after_uw", JsonValue::number(s.powerAfterUW));
+        jp.set("depth_before_ps", JsonValue::number(s.depthBeforePs));
+        jp.set("depth_after_ps", JsonValue::number(s.depthAfterPs));
+        passes.push(std::move(jp));
+    }
+    p.set("passes", std::move(passes));
+    p.set("rewritten_instances", count(rep.rewrittenInstances));
+    JsonValue gating = JsonValue::object();
+    gating.set("candidate_banks", count(rep.gating.candidateBanks));
+    gating.set("gated_banks", count(rep.gating.banks.size()));
+    gating.set("gated_flops", count(rep.gating.gatedFlops()));
+    gating.set("saved_clock_uw", JsonValue::number(rep.gating.savedClockUW));
+    p.set("gating", std::move(gating));
+
+    if (sat_pass) {
+        // Solver counters are shard-deterministic and
+        // thread-count-independent, so they belong in the bit-stable
+        // payload with the verdict counts.
+        JsonValue sat = JsonValue::object();
+        sat.set("candidates", count(rep.satCandidates));
+        sat.set("proven", count(rep.satProven));
+        sat.set("refuted", count(rep.satRefuted));
+        sat.set("unknown", count(rep.satUnknown));
+        sat.set("shards", count(rep.satShards));
+        sat.set("conflicts", count(rep.satConflicts));
+        sat.set("propagations", count(rep.satPropagations));
+        sat.set("learned_clauses", count(rep.satLearned));
+        sat.set("kept_clauses", count(rep.satKept));
+        sat.set("db_reductions", count(rep.satReductions));
+        sat.set("restarts", count(rep.satRestarts));
+        p.set("sat_never_toggle", std::move(sat));
+    }
+}
+
+/** Per-pass wall times, the volatile detail of a computed "design". */
+void
+setPassTimes(std::vector<JobStage> &stages, const PipelineReport &rep)
+{
+    for (JobStage &st : stages) {
+        if (st.stage != "design")
+            continue;
+        JsonValue passes = JsonValue::array();
+        for (const PassStats &s : rep.passes) {
+            JsonValue jp = JsonValue::object();
+            jp.set("name", JsonValue::str(s.name));
+            jp.set("wall_ms", JsonValue::number(s.wallMs));
+            passes.push(std::move(jp));
+        }
+        st.detail = JsonValue::object();
+        st.detail.set("passes", std::move(passes));
+    }
+}
+
+/** Symbolic-check payload fields; the failure message ("" = pass). */
+std::string
+setEquivPayload(JsonValue &p, const EquivResult &eq)
+{
+    p.set("equivalent", JsonValue::boolean(eq.equivalent));
+    p.set("completed", JsonValue::boolean(eq.completed));
+    p.set("outputs_compared", count(eq.outputsCompared));
+    p.set("paths_explored", count(eq.pathsExplored));
+    if (!eq.completed)
+        return "equivalence check hit its caps";
+    if (!eq.equivalent)
+        return "not equivalent: " + eq.firstMismatch;
+    return "";
+}
+
+const char *
+satVerdictName(sat::SatEquivVerdict v)
+{
+    switch (v) {
+      case sat::SatEquivVerdict::Equivalent: return "equivalent";
+      case sat::SatEquivVerdict::NotEquivalent: return "not_equivalent";
+      default: return "unknown";
+    }
 }
 
 } // namespace
@@ -234,6 +302,10 @@ parseJobSpec(const JsonValue &doc, JobSpec *out, std::string *err)
             if (!uintField(v, key, &u))
                 return false;
             spec.satThreads = static_cast<int>(u);
+        } else if (key == "out") {
+            if (!want(v, JsonValue::Kind::String, key, "a string"))
+                return false;
+            spec.out = v.asString();
         } else {
             *err = "unknown job key '" + key + "'";
             return false;
@@ -264,8 +336,8 @@ parseJobSpec(const JsonValue &doc, JobSpec *out, std::string *err)
 }
 
 bool
-parseJobList(const std::string &text, std::vector<JobSpec> *out,
-             std::string *err)
+parseJobList(const std::string &text, std::vector<JobSpec> *specs,
+             std::vector<JobResult> *invalid, std::string *err)
 {
     JsonValue doc;
     if (!JsonValue::parse(text, doc, *err))
@@ -283,17 +355,22 @@ parseJobList(const std::string &text, std::vector<JobSpec> *out,
                "object with a 'jobs' array)";
         return false;
     }
-    std::vector<JobSpec> specs;
+    specs->clear();
+    invalid->clear();
     for (size_t i = 0; i < jobs->items().size(); i++) {
         JobSpec spec;
         std::string perr;
-        if (!parseJobSpec(jobs->items()[i], &spec, &perr)) {
-            *err = "job " + std::to_string(i) + ": " + perr;
-            return false;
+        if (parseJobSpec(jobs->items()[i], &spec, &perr)) {
+            specs->push_back(std::move(spec));
+        } else {
+            JobResult bad;
+            bad.id = "job-" + std::to_string(i);
+            bad.kind = "invalid";
+            bad.error = perr;
+            bad.payload = JsonValue::object();
+            invalid->push_back(std::move(bad));
         }
-        specs.push_back(std::move(spec));
     }
-    *out = std::move(specs);
     return true;
 }
 
@@ -314,17 +391,16 @@ JobResult::toJson() const
 {
     JsonValue d = deterministicJson();
     d.set("seconds", JsonValue::number(seconds));
-    d.set("checkpoint_hits",
-          JsonValue::number(static_cast<double>(checkpointHits)));
-    d.set("checkpoint_misses",
-          JsonValue::number(static_cast<double>(checkpointMisses)));
-    d.set("threads_used",
-          JsonValue::number(static_cast<double>(threadsUsed)));
+    d.set("checkpoint_hits", count(checkpointHits));
+    d.set("checkpoint_misses", count(checkpointMisses));
+    d.set("threads_used", JsonValue::number(threadsUsed));
     JsonValue st = JsonValue::array();
     for (const JobStage &s : stages) {
         JsonValue e = JsonValue::object();
         e.set("stage", JsonValue::str(s.stage));
         e.set("seconds", JsonValue::number(s.seconds));
+        if (s.detail.kind() != JsonValue::Kind::Null)
+            e.set("detail", s.detail);
         st.push(std::move(e));
     }
     d.set("stages", std::move(st));
@@ -490,7 +566,7 @@ JobScheduler::runJob(const JobSpec &spec)
     // scheduler's own verify/sweep stages below). The callback runs on
     // this runner thread only, so res needs no lock.
     auto addStage = [&](const std::string &stage, double seconds) {
-        res.stages.push_back({stage, seconds});
+        res.stages.push_back({stage, seconds, {}});
         JsonValue ev = JsonValue::object();
         ev.set("event", JsonValue::str("stage"));
         ev.set("job", JsonValue::str(spec.id));
@@ -521,48 +597,42 @@ JobScheduler::runJob(const JobSpec &spec)
         fail(err);
 
     if (res.error.empty()) {
-        // Lease analysis workers from the shared budget (FIFO; blocks
-        // until granted). 0 asks for the whole budget. A check job's
-        // symbolic leg runs on one worker, so it leases one.
-        int want = spec.kind == "check" ? 1
-                   : spec.threads <= 0  ? budget_.total()
-                                        : spec.threads;
+        // Lease workers from the shared budget (FIFO; blocks until
+        // granted): the larger of the analysis and SAT asks (see
+        // JobSpec::satThreads). 0 asks for the whole budget. A check
+        // job's symbolic leg runs on one worker, so it leases one.
+        int analysis = spec.threads <= 0 ? budget_.total() : spec.threads;
+        int want = spec.kind == "check"
+                       ? 1
+                       : std::max(analysis, spec.satThreads);
         ThreadLease lease = budget_.acquire(want);
         res.threadsUsed = lease.threads();
+        analysis = std::min(analysis, lease.threads());
+        const int sat_threads =
+            spec.satThreads > 0 ? std::min(spec.satThreads, lease.threads())
+                                : lease.threads();
 
         if (spec.kind == "check") {
             Netlist reference;
-            if (spec.against.empty()) {
-                if (!buildCoreNetlist(spec.core, &reference, &err))
-                    fail(err);
+            bool loaded =
+                spec.against.empty()
+                    ? buildCoreByName(spec.core, &reference, &err)
+                    : readNetlistFile(spec.against, &reference, &err);
+            if (!loaded) {
+                fail(err);
             } else {
-                std::string text;
-                if (!readFileText(spec.against, &text, &err) ||
-                    !importNetlistText(spec.against, text,
-                                       endsWith(spec.against, ".v"),
-                                       &reference, &err)) {
-                    fail(err);
-                }
-            }
-            if (res.error.empty()) {
                 sizeForLoads(reference, opts_.flow.timing);
-                AnalysisOptions aopts = opts_.flow.analysis;
                 auto tc = std::chrono::steady_clock::now();
                 EquivResult eq = checkSymbolicEquivalence(
                     reference, baseline, apps[0]->assembleProgram(),
-                    aopts);
+                    opts_.flow.analysis);
                 addStage("check", secondsSince(tc));
                 res.payload.set("app", JsonValue::str(apps[0]->name));
-                res.payload.set("equivalent",
-                                JsonValue::boolean(eq.equivalent));
-                res.payload.set("completed",
-                                JsonValue::boolean(eq.completed));
-                if (!eq.completed)
-                    fail("equivalence check hit its caps");
-                else if (!eq.equivalent)
-                    fail("not equivalent: " + eq.firstMismatch);
-                else
+                std::string why = setEquivPayload(res.payload, eq);
+                if (why.empty())
                     res.ok = true;
+                else
+                    fail(why);
             }
         } else if (spec.kind == "mutant_sweep") {
             const Workload &w = *apps[0];
@@ -590,12 +660,8 @@ JobScheduler::runJob(const JobSpec &spec)
                 sum_delta += std::abs(v.powerDeltaPct);
             }
             res.payload.set("app", JsonValue::str(w.name));
-            res.payload.set(
-                "mutants",
-                JsonValue::number(static_cast<double>(verdicts.size())));
-            res.payload.set(
-                "detected",
-                JsonValue::number(static_cast<double>(detected)));
+            res.payload.set("mutants", count(verdicts.size()));
+            res.payload.set("detected", count(detected));
             res.payload.set(
                 "mean_abs_power_delta_pct",
                 JsonValue::number(verdicts.empty()
@@ -610,7 +676,7 @@ JobScheduler::runJob(const JobSpec &spec)
             fopts.checkpointDir = opts_.checkpointDir;
             fopts.checkpointMaxBytes = opts_.checkpointMaxBytes;
             fopts.checkpointCoordinator = coord_;
-            fopts.analysis.threads = lease.threads();
+            fopts.analysis.threads = analysis;
             if (spec.powerInputs > 0)
                 fopts.powerInputsPerWorkload = spec.powerInputs;
             if (spec.powerSeed != 0)
@@ -623,13 +689,7 @@ JobScheduler::runJob(const JobSpec &spec)
             }
             if (spec.satDepth > 0)
                 fopts.passes.sat.depth = spec.satDepth;
-            // SAT shard workers come out of the same lease as the
-            // analysis workers — a job never oversubscribes its grant,
-            // and the prover's verdicts don't depend on the count.
-            fopts.passes.sat.threads =
-                spec.satThreads > 0
-                    ? std::min(spec.satThreads, lease.threads())
-                    : lease.threads();
+            fopts.passes.sat.threads = sat_threads;
             fopts.stageCallback = addStage;
             BespokeFlow flow(fopts, std::move(baseline));
 
@@ -642,91 +702,54 @@ JobScheduler::runJob(const JobSpec &spec)
                 if (res.error.empty())
                     fail(err);
             } else {
-                JsonValue names = JsonValue::array();
-                for (const Workload *w : apps)
-                    names.push(JsonValue::str(w->name));
-                res.payload.set("apps", std::move(names));
-                res.payload.set(
-                    "gates_before",
-                    JsonValue::number(
-                        static_cast<double>(d.cut.gatesBefore)));
-                res.payload.set(
-                    "gates_after",
-                    JsonValue::number(
-                        static_cast<double>(d.cut.gatesAfter)));
-                res.payload.set(
-                    "flops", JsonValue::number(
-                                 static_cast<double>(d.metrics.flops)));
-                res.payload.set("area_um2",
-                                JsonValue::number(d.metrics.areaUm2));
-                res.payload.set(
-                    "critical_path_ps",
-                    JsonValue::number(d.metrics.criticalPathPs));
-                res.payload.set("vmin",
-                                JsonValue::number(d.metrics.vmin));
-                res.payload.set(
-                    "power_nominal_uw",
-                    JsonValue::number(d.metrics.powerNominal.totalUW()));
-                res.payload.set(
-                    "power_vmin_uw",
-                    JsonValue::number(d.metrics.powerAtVmin.totalUW()));
-                if (fopts.passes.satNeverToggle) {
-                    JsonValue satj = JsonValue::object();
-                    satj.set("candidates",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satCandidates)));
-                    satj.set("proven",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satProven)));
-                    satj.set("refuted",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satRefuted)));
-                    satj.set("unknown",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satUnknown)));
-                    // Solver counters are shard-deterministic and
-                    // thread-count-independent, so they belong in the
-                    // bit-stable payload with the verdict counts.
-                    satj.set("shards",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satShards)));
-                    satj.set("conflicts",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satConflicts)));
-                    satj.set("propagations",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satPropagations)));
-                    satj.set("learned_clauses",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satLearned)));
-                    satj.set("kept_clauses",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satKept)));
-                    satj.set("db_reductions",
-                             JsonValue::number(static_cast<double>(
-                                 d.pipeline.satReductions)));
-                    res.payload.set("sat_never_toggle",
-                                    std::move(satj));
-                }
+                setDesignPayload(res.payload, apps, d,
+                                 fopts.passes.satNeverToggle);
+                setPassTimes(res.stages, d.pipeline);
+                res.ok = true;
                 if (spec.kind == "verify") {
-                    AnalysisOptions aopts = fopts.analysis;
+                    // Both proof legs. The symbolic check is
+                    // authoritative; the bounded CDCL miter shares no
+                    // code with it, so a confirmed SAT witness means one
+                    // of the two provers is wrong. Its finite conflict
+                    // budget can exhaust on an aggressively cut design:
+                    // Unknown is reported, not fatal.
+                    AsmProgram prog = apps[0]->assembleProgram();
                     auto tv = std::chrono::steady_clock::now();
                     EquivResult eq = checkSymbolicEquivalence(
-                        flow.baseline(), d.netlist,
-                        apps[0]->assembleProgram(), aopts);
+                        flow.baseline(), d.netlist, prog, fopts.analysis);
                     addStage("verify", secondsSince(tv));
-                    res.payload.set("equivalent",
-                                    JsonValue::boolean(eq.equivalent));
-                    res.payload.set("completed",
-                                    JsonValue::boolean(eq.completed));
-                    if (!eq.completed)
-                        fail("equivalence check hit its caps");
-                    else if (!eq.equivalent)
-                        fail("not equivalent: " + eq.firstMismatch);
-                    else
-                        res.ok = true;
-                } else {
-                    res.ok = true;
+                    std::string why = setEquivPayload(res.payload, eq);
+                    if (!why.empty()) {
+                        fail(why);
+                    } else {
+                        sat::SatEquivOptions so;
+                        so.conflictBudget = 200000;
+                        so.threads = sat_threads;
+                        auto ts = std::chrono::steady_clock::now();
+                        sat::SatEquivResult sr = sat::proveEquivalentSat(
+                            flow.baseline(), d.netlist, prog, so);
+                        addStage("verify_sat", secondsSince(ts));
+                        JsonValue js = JsonValue::object();
+                        js.set("verdict",
+                               JsonValue::str(satVerdictName(sr.verdict)));
+                        js.set("depth", JsonValue::number(sr.depth));
+                        js.set("detail", JsonValue::str(sr.detail));
+                        res.payload.set("sat_cross_check", std::move(js));
+                        if (sr.verdict ==
+                            sat::SatEquivVerdict::NotEquivalent) {
+                            fail("SAT cross-check disagrees with the "
+                                 "symbolic prover: " +
+                                 sr.detail);
+                        }
+                    }
+                }
+                if (res.ok && !spec.out.empty()) {
+                    std::string module = "bespoke";
+                    for (const Workload *w : apps)
+                        module += "_" + w->name;
+                    if (!writeNetlistFile(d.netlist, spec.out, module,
+                                          &err))
+                        fail(err);
                 }
             }
             res.checkpointHits = flow.checkpoints().hits();
@@ -743,12 +766,8 @@ JobScheduler::runJob(const JobSpec &spec)
         if (!res.ok)
             ev.set("error", JsonValue::str(res.error));
         ev.set("seconds", JsonValue::number(res.seconds));
-        ev.set("checkpoint_hits",
-               JsonValue::number(
-                   static_cast<double>(res.checkpointHits)));
-        ev.set("checkpoint_misses",
-               JsonValue::number(
-                   static_cast<double>(res.checkpointMisses)));
+        ev.set("checkpoint_hits", count(res.checkpointHits));
+        ev.set("checkpoint_misses", count(res.checkpointMisses));
         emitProgress(ev);
     }
     return res;

@@ -57,7 +57,10 @@ namespace bespoke
 struct JobSpec
 {
     std::string id;    ///< defaults to "<kind>-<submit index>"
-    std::string kind;  ///< tailor | verify | check | mutant_sweep
+    /** tailor | verify | check | mutant_sweep. verify is tailor plus
+     *  both proof legs: the symbolic check, then the bounded SAT miter
+     *  (DESIGN.md section 11.1). */
+    std::string kind;
     /** Workloads by name; one entry for all kinds but multi-tailor. */
     std::vector<std::string> apps;
     /** Baseline netlist file (.v/.json); "" = build the core. */
@@ -68,9 +71,8 @@ struct JobSpec
     std::string core;
     /** check only: reference netlist file ("" = build the core). */
     std::string against;
-    /** Analysis workers to lease from the budget (0 = whole budget).
-     *  check jobs always lease one: the symbolic check runs on one
-     *  worker. */
+    /** Analysis workers (0 = the whole budget). check jobs always
+     *  lease one: the symbolic check runs on one worker. */
     int threads = 1;
     /** Flow overrides; 0 keeps the scheduler's base FlowOptions. */
     int powerInputs = 0;
@@ -84,11 +86,20 @@ struct JobSpec
     std::string passes;
     /** SAT never-toggle unrolling depth override (0 = keep base). */
     int satDepth = 0;
-    /** SAT prover worker threads (0 = the job's leased analysis
-     *  workers; explicit values are capped by the lease). Verdicts are
-     *  thread-count-independent, so this never affects the
-     *  deterministic payload. */
+    /**
+     * SAT prover worker threads (0 = the job's lease). A job leases
+     * max(threads, satThreads) workers, capped at the budget, and runs
+     * analysis on `threads` and the SAT prover on `satThreads` of them
+     * (the stages never overlap). `bespoke_io tailor` sizes its budget
+     * to max(--threads, --sat-threads), 0 meaning all hardware threads,
+     * so both flags are granted exactly. Verdicts are
+     * thread-count-independent: the payload never depends on this.
+     */
     int satThreads = 0;
+    /** tailor/verify: write the sized bespoke netlist here (.v or
+     *  .json by extension, netlist_file.hh) once the job succeeded;
+     *  "" = do not write. A write failure fails the job. */
+    std::string out;
 };
 
 /**
@@ -98,18 +109,26 @@ struct JobSpec
  */
 bool parseJobSpec(const JsonValue &doc, JobSpec *out, std::string *err);
 
+struct JobResult;
+
 /**
  * Parse a batch file: either a JSON array of specs or an object with
- * a "jobs" array member.
+ * a "jobs" array member. Returns false (with *err) only when the file
+ * itself is malformed. An entry that fails parseJobSpec() becomes a
+ * failed result of kind "invalid" with id "job-<index>" in *invalid,
+ * so the rest of the queue still runs.
  */
-bool parseJobList(const std::string &text, std::vector<JobSpec> *out,
-                  std::string *err);
+bool parseJobList(const std::string &text, std::vector<JobSpec> *specs,
+                  std::vector<JobResult> *invalid, std::string *err);
 
 /** One flow stage a job actually computed (checkpoint hits skip it). */
 struct JobStage
 {
     std::string stage;
     double seconds = 0.0;
+    /** Volatile detail (null = none): a computed "design" stage
+     *  carries the wall_ms of each tailoring pass. */
+    JsonValue detail;
 };
 
 struct JobResult

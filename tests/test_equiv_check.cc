@@ -2,8 +2,9 @@
  * @file
  * Symbolic equivalence check (X-based co-simulation on the product
  * netlist): the symbolic twin of SatEquiv's corrupted-design test, a
- * corruption visible only on the memory bus during stores, and
- * verdicts and counts that repeat exactly at any thread setting.
+ * corruption visible only on the memory bus during stores, a first
+ * mismatch that names a replayable cycle, and verdicts and counts that
+ * repeat exactly at any thread setting.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,10 @@
 #include "src/bespoke/equiv_check.hh"
 #include "src/cpu/bsp430.hh"
 #include "src/sat/equiv_prover.hh"
+#include "src/sim/gate_sim.hh"
 #include "src/transform/pass_pipeline.hh"
+#include "src/util/rng.hh"
+#include "src/verify/runner.hh"
 #include "src/workloads/workload.hh"
 
 namespace bespoke
@@ -88,10 +92,9 @@ TEST(SymbolicEquiv, RefutesEveryOutputInversionSatRefutes)
  * stores known data (mult stores only input-derived, X data, which
  * no known-vs-known compare can refute).
  */
-TEST(SymbolicEquiv, RefutesStoreDataCorruption)
+Netlist
+storeDataCorrupted(const Netlist &core)
 {
-    Netlist core = buildBsp430();
-    AsmProgram prog = workloadByName("binSearch").assembleProgram();
     Netlist bad = core;
     GateId out = bad.port("mem_wdata[0]");
     GateId flip =
@@ -99,9 +102,73 @@ TEST(SymbolicEquiv, RefutesStoreDataCorruption)
                     bad.gate(bad.port("mem_wen[0]")).in[0]);
     bad.setFanin(out, 0, flip);
     bad.validate();
-    EquivResult eq = checkSymbolicEquivalence(core, bad, prog);
+    return bad;
+}
+
+TEST(SymbolicEquiv, RefutesStoreDataCorruption)
+{
+    Netlist core = buildBsp430();
+    AsmProgram prog = workloadByName("binSearch").assembleProgram();
+    EquivResult eq =
+        checkSymbolicEquivalence(core, storeDataCorrupted(core), prog);
     expectNamesMismatch(eq, "mem_wdata[0]");
     EXPECT_TRUE(eq.completed);
+}
+
+/** The cycle a first-mismatch message names ("at cycle N"). */
+uint64_t
+mismatchCycle(const EquivResult &eq)
+{
+    size_t at = eq.firstMismatch.find(" at cycle ");
+    EXPECT_NE(at, std::string::npos) << eq.firstMismatch;
+    return std::stoull(eq.firstMismatch.substr(at + 10));
+}
+
+/**
+ * The reported mismatch cycle counts from reset along the failing
+ * path, so it can be replayed. binSearch's first refutable store is
+ * the "found at the first probe" path's `mov r6, &OUT`: a concrete run
+ * whose key equals a[8] follows exactly that path, and its first
+ * mem_wdata[0] divergence is the reported cycle, at lanes 1 and 64 —
+ * where the exploration has simulated other paths' cycles first.
+ */
+TEST(SymbolicEquiv, FirstMismatchNamesPathCycle)
+{
+    Netlist core = buildBsp430();
+    Netlist bad = storeDataCorrupted(core);
+    const Workload &w = workloadByName("binSearch");
+    AsmProgram prog = w.assembleProgram();
+
+    Rng rng(7);
+    WorkloadInput in = w.genInput(rng);
+    in.ramWords[16] = in.ramWords[8];
+    auto wdata0 = [&](const Netlist &nl) {
+        std::vector<Logic> v;
+        GateId port = nl.port("mem_wdata[0]");
+        runWorkloadGate(nl, w, prog, in, nullptr, nullptr,
+                        [&](const GateSim &sim) {
+                            v.push_back(sim.value(port));
+                        });
+        return v;
+    };
+    std::vector<Logic> a = wdata0(core);
+    std::vector<Logic> b = wdata0(bad);
+    size_t replay = 0;
+    while (replay < a.size() && replay < b.size() && a[replay] == b[replay])
+        replay++;
+    ASSERT_LT(replay, a.size());
+
+    uint64_t horizon = serialAnalysisHorizon(core, prog, {});
+    for (int lanes : {1, 64}) {
+        AnalysisOptions opts;
+        opts.laneWidth = lanes;
+        EquivResult eq = checkSymbolicEquivalence(core, bad, prog, opts);
+        expectNamesMismatch(eq, "mem_wdata[0]");
+        uint64_t cycle = mismatchCycle(eq);
+        EXPECT_EQ(cycle, replay) << "lanes " << lanes;
+        EXPECT_LE(cycle, eq.cyclesChecked) << "lanes " << lanes;
+        EXPECT_LE(cycle, horizon) << "lanes " << lanes;
+    }
 }
 
 Netlist

@@ -12,13 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/cpu/bsp430.hh"
+#include "src/io/netlist_file.hh"
 #include "src/io/netlist_json.hh"
+#include "src/sat/equiv_prover.hh"
 #include "src/service/job_scheduler.hh"
 
 namespace fs = std::filesystem;
@@ -96,7 +99,7 @@ TEST(JobScheduler, ParseAcceptsEveryField)
         R"({"id": "j1", "kind": "tailor", "apps": ["mult", "div"],
             "core": "extended", "threads": 3, "power_inputs": 5,
             "power_seed": 77, "inputs_per_mutant": 2,
-            "mutant_seed": 9, "max_mutants": 10})");
+            "mutant_seed": 9, "max_mutants": 10, "out": "b.v"})");
     EXPECT_EQ(spec.id, "j1");
     EXPECT_EQ(spec.kind, "tailor");
     EXPECT_EQ(spec.apps, (std::vector<std::string>{"mult", "div"}));
@@ -107,6 +110,7 @@ TEST(JobScheduler, ParseAcceptsEveryField)
     EXPECT_EQ(spec.inputsPerMutant, 2);
     EXPECT_EQ(spec.mutantSeed, 9u);
     EXPECT_EQ(spec.maxMutants, 10);
+    EXPECT_EQ(spec.out, "b.v");
 
     JobSpec check = parseOk(
         R"({"kind": "check", "app": "mult", "netlist": "cand.json",
@@ -159,26 +163,38 @@ TEST(JobScheduler, ParseRejectsBadSpecs)
 TEST(JobScheduler, ParseJobListBothShapes)
 {
     std::vector<JobSpec> specs;
+    std::vector<JobResult> invalid;
     std::string err;
     ASSERT_TRUE(parseJobList(
-        R"([{"kind": "tailor", "app": "mult"}])", &specs, &err))
+        R"([{"kind": "tailor", "app": "mult"}])", &specs, &invalid, &err))
         << err;
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].apps[0], "mult");
+    EXPECT_TRUE(invalid.empty());
 
     ASSERT_TRUE(parseJobList(
         R"({"jobs": [{"kind": "tailor", "app": "mult"},
                      {"kind": "mutant_sweep", "app": "div"}]})",
-        &specs, &err))
+        &specs, &invalid, &err))
         << err;
     EXPECT_EQ(specs.size(), 2u);
 
-    EXPECT_FALSE(parseJobList(R"({"nope": []})", &specs, &err));
-    EXPECT_FALSE(parseJobList(
+    EXPECT_FALSE(parseJobList(R"({"nope": []})", &specs, &invalid, &err));
+    EXPECT_NE(err.find("'jobs' array"), std::string::npos);
+    EXPECT_FALSE(parseJobList("[", &specs, &invalid, &err));
+
+    // A malformed entry fails on its own; the rest of the queue still
+    // parses, and the failed result names the entry.
+    ASSERT_TRUE(parseJobList(
         R"([{"kind": "tailor", "app": "mult"}, {"kind": "bad"}])",
-        &specs, &err));
-    // The diagnostic names the failing entry.
-    EXPECT_NE(err.find("job 1"), std::string::npos);
+        &specs, &invalid, &err))
+        << err;
+    ASSERT_EQ(specs.size(), 1u);
+    ASSERT_EQ(invalid.size(), 1u);
+    EXPECT_EQ(invalid[0].id, "job-1");
+    EXPECT_EQ(invalid[0].kind, "invalid");
+    EXPECT_FALSE(invalid[0].ok);
+    EXPECT_NE(invalid[0].error.find("bad"), std::string::npos);
 }
 
 /**
@@ -384,6 +400,67 @@ TEST(JobScheduler, CheckJobLeasesOneThread)
     EXPECT_TRUE(results[0].ok) << results[0].error;
     EXPECT_EQ(results[0].threadsUsed, 1);
     EXPECT_EQ(results[1].threadsUsed, 4);
+}
+
+/**
+ * A verify job runs both proof legs: its payload carries the symbolic
+ * verdict and the SAT cross-check's, and the netlist it writes to
+ * `out` is the one BespokeFlow::tailor builds. A write failure fails
+ * its own job only.
+ */
+TEST(JobScheduler, VerifyJobRunsBothLegsAndWritesOut)
+{
+    std::string dir = freshDir("sched_verify_out");
+    fs::create_directories(dir);
+    JobSpec verify;
+    verify.kind = "verify";
+    verify.apps = {"div"};
+    verify.out = dir + "/div.json";
+    JobSpec unwritable = verify;
+    unwritable.out = dir + "/missing/div.json";
+    std::vector<JobResult> results =
+        runQueue({verify, unwritable}, fastOpts(1, 1));
+    ASSERT_EQ(results.size(), 2u);
+
+    const JobResult &r = results[0];
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.payload.find("equivalent")->asBool());
+    EXPECT_GT(r.payload.find("outputs_compared")->asNumber(), 0.0);
+    const JsonValue *sat = r.payload.find("sat_cross_check");
+    ASSERT_NE(sat, nullptr);
+    EXPECT_EQ(sat->find("verdict")->asString(), "equivalent");
+    EXPECT_EQ(sat->find("depth")->asNumber(),
+              sat::SatEquivOptions{}.depth);
+
+    FlowOptions fo;
+    fo.powerInputsPerWorkload = 1;
+    BespokeDesign d = BespokeFlow(fo).tailor(workloadByName("div"));
+    Netlist written;
+    std::string err;
+    ASSERT_TRUE(readNetlistFile(verify.out, &written, &err)) << err;
+    EXPECT_EQ(written.contentHash(), d.netlist.contentHash());
+    char hash[17];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(d.netlist.contentHash()));
+    EXPECT_EQ(r.payload.find("netlist_hash")->asString(), hash);
+
+    EXPECT_FALSE(results[1].ok);
+    EXPECT_NE(results[1].error.find("cannot write"), std::string::npos);
+    fs::remove_all(dir);
+}
+
+/**
+ * A job leases the larger of its analysis and SAT worker asks, so an
+ * explicit sat_threads above threads is granted rather than capped.
+ */
+TEST(JobScheduler, LeaseCoversSatThreads)
+{
+    JobSpec spec = tailorSpec("mult");
+    spec.threads = 1;
+    spec.satThreads = 3;
+    std::vector<JobResult> results = runQueue({spec}, fastOpts(1, 4));
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(results[0].threadsUsed, 3);
 }
 
 /**

@@ -1,220 +1,87 @@
 /**
  * @file
- * Netlist interchange command-line tool.
+ * Netlist interchange and tailoring command-line tool.
  *
  * Moves gate-level netlists across the system boundary in both
- * directions and runs the bespoke transformation on imported ones:
+ * directions and runs the bespoke flow on imported ones. `tailor` and
+ * `check` each build one job spec and run it on the job scheduler
+ * (src/service/job_scheduler.hh, DESIGN.md section 11), the executor
+ * behind `batch` and `serve`, so the CLI and a service job compute,
+ * verify and report alike. Each command accepts exactly the flags of
+ * its synopsis in kCommands (which is also the usage text); any other
+ * flag is a usage error. Netlist formats go by file extension: .v
+ * structural Verilog, anything else canonical JSON.
  *
- *   bespoke_io export  [--core default|extended] -o FILE
- *       Build the baseline core and write it (.v or .json by file
- *       extension).
- *   bespoke_io convert -i FILE -o FILE
- *       Import (validating), then re-export in the other format.
- *   bespoke_io hash    -i FILE | --core default|extended
- *       Print the canonical content hash.
- *   bespoke_io tailor  -i FILE --app NAME -o FILE
- *                      [--checkpoint-dir DIR] [--verify] [--threads N]
- *                      [--passes LIST] [--status-json FILE]
- *                      [--sat-depth N] [--sat-threads N]
- *       Import an external netlist, run activity analysis for the
- *       application on it, run the tailoring pass pipeline, re-size,
- *       and export the bespoke result, printing one summary line per
- *       pass (changes, gates, delta power, delta depth, wall time).
- *       --passes selects pipeline passes ("default", "rewrite-search",
- *       "clock-gating", "sat-never-toggle", "all", comma-separated;
- *       "all" does NOT include the opt-in SAT pass); --status-json
- *       writes the per-pass stats, rewrite count, clock-gating plan,
- *       and SAT never-toggle verdict counts plus solver counters
- *       (conflicts, propagations, learned/kept clauses, DB
- *       reductions) as JSON; --sat-depth bounds the SAT pass's
- *       unrolling envelope (0 = the serial analysis horizon); --sat-threads
- *       parallelizes the prover's candidate shards (0 = all hardware
- *       threads) with verdicts identical at any thread count.
- *       --verify additionally proves the result symbolically
- *       equivalent to the imported original for the application and
- *       cross-checks with a bounded CDCL miter (fixed shallow depth
- *       and conflict budget — use `prove` for deeper miters).
- *       --threads sets the analysis workers; the symbolic leg of
- *       --verify always runs on one (see `check`).
- *       --checkpoint-dir caches the analysis artifact keyed by
- *       (netlist hash, program hash, options hash).
- *   bespoke_io check   -i FILE --app NAME [--against FILE]
- *       Symbolic equivalence of an imported netlist against a freshly
- *       built baseline core (or a second imported file) for one
- *       application. The check runs on one lane-batched worker, so
- *       --threads is rejected here.
- *   bespoke_io prove   -i FILE --app NAME [--against FILE]
- *                      [--sat-depth N] [--sat-threads N]
- *       Independent SAT equivalence check (src/sat/): bounded miter
- *       over the CNF unrolling, incrementally deepened on one CDCL
- *       solver, with any witness confirmed by concrete 3-valued
- *       replay. Complements `check` — a completely separate prover
- *       over a different value domain. --sat-threads races the
- *       deterministic config portfolio (relevant only when the
- *       conflict budget can exhaust); the verdict is identical at any
- *       thread count. Prints solver counters (conflicts,
- *       propagations, learned/kept clauses, DB reductions).
- *   bespoke_io export-cnf --app NAME -o FILE[.cnf|.smt2]
- *                      [-i FILE] [--miter [--against FILE]]
- *                      [--sat-depth N]
- *       Dump the Tseitin CNF of the unrolled design (or, with
- *       --miter, of the equivalence miter between -i and the
- *       reference) as DIMACS or bit-blasted SMT2 for external
- *       solvers.
- *   bespoke_io batch   --jobs FILE [--job-threads N]
- *                      [--worker-threads N] [--checkpoint-dir DIR]
- *                      [--checkpoint-max-bytes N]
- *                      [--status-json FILE] [--progress]
- *       Run a queue of JSON job specs (DESIGN.md section 11)
- *       concurrently through the job scheduler. Every job runs to
- *       completion even when others fail; --status-json writes the
- *       full per-job result summary.
- *   bespoke_io serve   [batch flags except --jobs/--status-json]
- *                      [--max-queued N]
- *       Job server: one JSON job spec per stdin line, one JSON result
- *       line per completed job on stdout (completion order). Exits
- *       after EOF once the queue drains. --max-queued bounds the
- *       outstanding (queued + running) jobs; excess submissions get an
- *       immediate structured "rejected: backpressure" result line
- *       instead of buffering unbounded stdin input in memory.
+ *   export      Build the core (--core default|extended) and write it.
+ *   convert     Import (validating), then re-export in the other format.
+ *   hash        Print the canonical content hash.
+ *   tailor      One `tailor` job (`verify` with --verify) on the imported
+ *               netlist; writes the bespoke netlist to -o and prints the
+ *               analysis, the cut, one line per pass and the verdicts.
+ *               --passes lists pipeline passes ("default",
+ *               "rewrite-search", "clock-gating", "sat-never-toggle",
+ *               "all" = the cost-driven ones, comma-separated);
+ *               --sat-depth bounds the SAT pass (0 = the serial analysis
+ *               horizon). --verify runs both proof legs: the symbolic
+ *               check, then a bounded CDCL miter whose exhausted budget
+ *               is reported, not fatal (`prove` runs deeper miters).
+ *               --threads sets the analysis workers and --sat-threads
+ *               the SAT prover's (0 = all hardware threads); both are
+ *               granted. --status-json writes the job's result document
+ *               (JobResult::toJson(), as `batch` writes per job).
+ *               --checkpoint-dir caches the flow's stage artifacts.
+ *   check       One `check` job: symbolic equivalence of -i against the
+ *               core (or --against FILE) for one application. It runs on
+ *               one lane-batched worker, so it takes no --threads.
+ *   prove       Independent SAT equivalence check (src/sat/): bounded
+ *               miter over the CNF unrolling, incrementally deepened on
+ *               one CDCL solver, any witness confirmed by concrete
+ *               3-valued replay — a separate prover over a different
+ *               value domain from `check`. --sat-threads races the
+ *               deterministic config portfolio (relevant only when the
+ *               conflict budget can exhaust); the verdict is identical
+ *               at any thread count. Prints solver counters.
+ *   export-cnf  Dump the Tseitin CNF of the unrolled design (or, with
+ *               --miter, of the equivalence miter between -i and the
+ *               reference) as DIMACS or bit-blasted SMT2 (.smt2).
+ *   batch       Run a queue of JSON job specs concurrently through the
+ *               job scheduler. Every job runs to completion even when
+ *               others fail, and a malformed entry fails on its own;
+ *               --status-json writes every job's result document.
+ *   serve       Job server: one JSON job spec per stdin line, one JSON
+ *               result line per completed job on stdout (completion
+ *               order); exits after EOF once the queue drains.
+ *               --max-queued bounds the outstanding (queued + running)
+ *               jobs; excess submissions get an immediate structured
+ *               "rejected: backpressure" result line instead of
+ *               buffering unbounded stdin input in memory.
  *
  * Exit codes: 0 success, 1 validation/equivalence/job failure
  * (the batch/serve queue always runs to completion first), 2 usage.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
 #include <string>
 
-#include "src/analysis/activity_analysis.hh"
-#include "src/bespoke/checkpoint.hh"
-#include "src/bespoke/equiv_check.hh"
 #include "src/cpu/bsp430.hh"
+#include "src/io/netlist_file.hh"
 #include "src/sat/cdcl.hh"
 #include "src/sat/equiv_prover.hh"
-#include "src/io/netlist_json.hh"
-#include "src/io/verilog_import.hh"
-#include "src/netlist/verilog_export.hh"
 #include "src/service/job_scheduler.hh"
 #include "src/timing/sta.hh"
-#include "src/transform/bespoke_transform.hh"
-#include "src/transform/pass_pipeline.hh"
-#include "src/util/logging.hh"
-#include "src/util/rng.hh"
-#include "src/verify/runner.hh"
+#include "src/util/worker_pool.hh"
 #include "src/workloads/workload.hh"
 
 using namespace bespoke;
 
 namespace
 {
-
-[[noreturn]] void
-usage(const std::string &msg = "")
-{
-    if (!msg.empty())
-        std::fprintf(stderr, "bespoke_io: %s\n", msg.c_str());
-    std::fprintf(
-        stderr,
-        "usage:\n"
-        "  bespoke_io export  [--core default|extended] -o FILE\n"
-        "  bespoke_io convert -i FILE -o FILE\n"
-        "  bespoke_io hash    -i FILE | --core default|extended\n"
-        "  bespoke_io tailor  -i FILE --app NAME -o FILE\n"
-        "                     [--checkpoint-dir DIR] [--verify]"
-        " [--threads N]\n"
-        "                     [--passes LIST] [--status-json FILE]"
-        " [--sat-depth N]\n"
-        "                     [--sat-threads N]\n"
-        "  bespoke_io check   -i FILE --app NAME [--against FILE]\n"
-        "  bespoke_io prove   -i FILE --app NAME [--against FILE]"
-        " [--sat-depth N]\n"
-        "                     [--sat-threads N]\n"
-        "  bespoke_io export-cnf --app NAME -o FILE [-i FILE]"
-        " [--miter]\n"
-        "                     [--against FILE] [--sat-depth N]\n"
-        "  bespoke_io batch   --jobs FILE [--job-threads N]"
-        " [--worker-threads N]\n"
-        "                     [--checkpoint-dir DIR]"
-        " [--checkpoint-max-bytes N]\n"
-        "                     [--status-json FILE] [--progress]\n"
-        "  bespoke_io serve   [batch flags except --jobs/--status-json]"
-        " [--max-queued N]\n"
-        "formats are chosen by file extension: .v structural Verilog,"
-        " .json canonical JSON\n");
-    std::exit(2);
-}
-
-[[noreturn]] void
-fail(const std::string &msg)
-{
-    std::fprintf(stderr, "bespoke_io: %s\n", msg.c_str());
-    std::exit(1);
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fail("cannot read '" + path + "'");
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** Import a netlist from .v or .json, hard-failing with diagnostics. */
-Netlist
-importFile(const std::string &path)
-{
-    std::string text = readFile(path);
-    if (endsWith(path, ".v")) {
-        VerilogImportResult res = importVerilog(text);
-        if (!res.ok)
-            fail(res.format(path));
-        return std::move(res.netlist);
-    }
-    NetlistJsonResult res = netlistFromJsonText(text);
-    if (!res.ok)
-        fail(path + ": " + res.error);
-    return std::move(res.netlist);
-}
-
-void
-exportFile(const Netlist &nl, const std::string &path,
-           const std::string &module_name)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fail("cannot write '" + path + "'");
-    if (endsWith(path, ".v"))
-        exportVerilog(nl, module_name, out);
-    else
-        out << netlistToJsonText(nl) << "\n";
-    if (!out)
-        fail("write to '" + path + "' failed");
-}
-
-void
-printStats(const char *label, const Netlist &nl)
-{
-    NetlistStats s = nl.stats();
-    std::printf("%s: %zu cells (%zu flops), %.0f um^2, hash %016llx\n",
-                label, s.numCells, s.numSequential, s.area,
-                static_cast<unsigned long long>(nl.contentHash()));
-}
 
 struct Args
 {
@@ -231,7 +98,6 @@ struct Args
     bool progress = false;
     bool miter = false;
     int threads = 1;
-    bool threadsSet = false;  ///< --threads given (check rejects it)
     int jobThreads = 1;
     int workerThreads = 0;
     int satDepth = 0;    ///< 0 = per-command default
@@ -240,75 +106,65 @@ struct Args
     uint64_t checkpointMaxBytes = 0;
 };
 
-Args
-parseArgs(int argc, char **argv)
+[[noreturn]] void usage(const std::string &msg = "");
+
+[[noreturn]] void
+fail(const std::string &msg)
 {
-    Args a;
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage("flag '" + arg + "' needs a value");
-            return argv[++i];
-        };
-        if (arg == "-i" || arg == "--in")
-            a.in = value();
-        else if (arg == "-o" || arg == "--out")
-            a.out = value();
-        else if (arg == "--against")
-            a.against = value();
-        else if (arg == "--app")
-            a.app = value();
-        else if (arg == "--core")
-            a.core = value();
-        else if (arg == "--checkpoint-dir")
-            a.checkpointDir = value();
-        else if (arg == "--checkpoint-max-bytes")
-            a.checkpointMaxBytes =
-                std::strtoull(value().c_str(), nullptr, 10);
-        else if (arg == "--jobs")
-            a.jobs = value();
-        else if (arg == "--status-json")
-            a.statusJson = value();
-        else if (arg == "--passes")
-            a.passes = value();
-        else if (arg == "--verify")
-            a.verify = true;
-        else if (arg == "--progress")
-            a.progress = true;
-        else if (arg == "--miter")
-            a.miter = true;
-        else if (arg == "--sat-depth")
-            a.satDepth = std::atoi(value().c_str());
-        else if (arg == "--sat-threads")
-            a.satThreads = std::atoi(value().c_str());
-        else if (arg == "--max-queued")
-            a.maxQueued = std::strtoull(value().c_str(), nullptr, 10);
-        else if (arg == "--threads") {
-            a.threads = std::atoi(value().c_str());
-            a.threadsSet = true;
-        }
-        else if (arg == "--job-threads")
-            a.jobThreads = std::atoi(value().c_str());
-        else if (arg == "--worker-threads")
-            a.workerThreads = std::atoi(value().c_str());
-        else
-            usage("unknown flag '" + arg + "'");
-    }
-    return a;
+    std::fprintf(stderr, "bespoke_io: %s\n", msg.c_str());
+    std::exit(1);
 }
 
+/** Import a netlist file, failing with its diagnostic. */
 Netlist
-buildCore(const std::string &core)
+loadNetlist(const std::string &path)
 {
-    CpuConfig cfg;
-    if (core == "extended")
-        cfg = CpuConfig::extended();
-    else if (!core.empty() && core != "default")
-        usage("--core must be 'default' or 'extended'");
-    Netlist nl = buildBsp430(nullptr, cfg);
+    Netlist nl;
+    std::string err;
+    if (!readNetlistFile(path, &nl, &err))
+        fail(err);
+    return nl;
+}
+
+/** The named core, drive-sized as `export` writes it. */
+Netlist
+sizedCore(const std::string &name)
+{
+    Netlist nl;
+    std::string err;
+    if (!buildCoreByName(name, &nl, &err))
+        usage(err);
     sizeForLoads(nl);
     return nl;
+}
+
+void
+saveNetlist(const Netlist &nl, const std::string &path,
+            const std::string &module_name)
+{
+    std::string err;
+    if (!writeNetlistFile(nl, path, module_name, &err))
+        fail(err);
+}
+
+void
+writeJson(const std::string &path, const JsonValue &doc)
+{
+    std::ofstream os(path);
+    if (!os)
+        fail("cannot write '" + path + "'");
+    os << doc.dump(2) << "\n";
+    if (!os)
+        fail("write to '" + path + "' failed");
+}
+
+void
+printStats(const char *label, const Netlist &nl)
+{
+    NetlistStats s = nl.stats();
+    std::printf("%s: %zu cells (%zu flops), %.0f um^2, hash %016llx\n",
+                label, s.numCells, s.numSequential, s.area,
+                static_cast<unsigned long long>(nl.contentHash()));
 }
 
 int
@@ -316,8 +172,8 @@ cmdExport(const Args &a)
 {
     if (a.out.empty())
         usage("export needs -o FILE");
-    Netlist nl = buildCore(a.core);
-    exportFile(nl, a.out, "bsp430_core");
+    Netlist nl = sizedCore(a.core);
+    saveNetlist(nl, a.out, "bsp430_core");
     printStats(a.out.c_str(), nl);
     return 0;
 }
@@ -327,8 +183,8 @@ cmdConvert(const Args &a)
 {
     if (a.in.empty() || a.out.empty())
         usage("convert needs -i FILE and -o FILE");
-    Netlist nl = importFile(a.in);
-    exportFile(nl, a.out, "bespoke_core");
+    Netlist nl = loadNetlist(a.in);
+    saveNetlist(nl, a.out, "bespoke_core");
     printStats(a.out.c_str(), nl);
     return 0;
 }
@@ -336,207 +192,99 @@ cmdConvert(const Args &a)
 int
 cmdHash(const Args &a)
 {
-    Netlist nl = a.in.empty() ? buildCore(a.core) : importFile(a.in);
+    Netlist nl = a.in.empty() ? sizedCore(a.core) : loadNetlist(a.in);
     std::printf("%016llx\n",
                 static_cast<unsigned long long>(nl.contentHash()));
     return 0;
 }
 
-/** Analysis with an optional checkpoint store in front of it. */
-AnalysisResult
-analyzeWithStore(const Netlist &nl, const AsmProgram &prog,
-                 const AnalysisOptions &opts,
-                 const CheckpointStore &store)
+/**
+ * Run one job spec on a one-runner scheduler. The spec is given as
+ * JSON so the CLI's flags are validated exactly like a batch entry.
+ */
+JobResult
+runJobSpec(const JsonValue &doc, SchedulerOptions sopts)
 {
-    CheckpointKey key{nl.contentHash(), hashProgram(prog),
-                      hashAnalysisOptions(opts)};
-    JsonValue doc;
-    if (store.load(key, "analysis", &doc)) {
-        AnalysisResult r;
-        std::string err;
-        if (analysisFromJson(doc, nl, &r, &err))
-            return r;
-        bespoke_warn("checkpoint: ", err, "; re-analyzing");
-    }
-    AnalysisResult r = analyzeActivity(nl, prog, opts);
-    if (r.completed)
-        store.save(key, "analysis", analysisToJson(r));
-    return r;
+    JobSpec spec;
+    std::string err;
+    if (!parseJobSpec(doc, &spec, &err))
+        usage(err);
+    JobScheduler sched(std::move(sopts));
+    sched.submit(std::move(spec));
+    return sched.finish().at(0);
 }
 
-/** Tailor-time replay providers over one application (2 runs, fixed
- *  seed), mirroring BespokeFlow::makePassEnv(). */
-PassEnv
-makeTailorEnv(const Workload &app)
+/** Number `key` of a result object (-1 when absent). */
+double
+num(const JsonValue &obj, const char *key)
 {
-    constexpr int kInputs = 2;
-    constexpr uint64_t kSeed = 2024;
-    PassEnv env;
-    env.measureActivity = [&app](const Netlist &nl, ToggleCounter *tc) {
-        std::shared_ptr<const SocContext> ctx = SocContext::make(nl);
-        GateBatchObservers obs;
-        obs.toggles = tc;
-        Rng rng(kSeed);
-        AsmProgram prog = app.assembleProgram();
-        std::vector<WorkloadInput> in;
-        for (int i = 0; i < kInputs; i++)
-            in.push_back(app.genInput(rng));
-        runWorkloadGateBatch(nl, app, prog, in, 0, obs, ctx);
-    };
-    env.measureDuty = [&app](const Netlist &nl,
-                             const std::vector<GateId> &ids,
-                             std::vector<uint64_t> *high,
-                             uint64_t *cycles) {
-        high->assign(ids.size(), 0);
-        *cycles = 0;
-        Rng rng(kSeed);
-        AsmProgram prog = app.assembleProgram();
-        auto per_cycle = [&](const GateSim &sim) {
-            (*cycles)++;
-            for (size_t k = 0; k < ids.size(); k++) {
-                if (sim.value(ids[k]) != Logic::Zero)
-                    (*high)[k]++;
-            }
-        };
-        for (int i = 0; i < kInputs; i++) {
-            WorkloadInput in = app.genInput(rng);
-            runWorkloadGate(nl, app, prog, in, nullptr, nullptr,
-                            per_cycle);
-        }
-    };
-    return env;
+    const JsonValue *v = obj.find(key);
+    return v && v->isNumber() ? v->asNumber() : -1.0;
 }
 
-/** One human-readable summary line per pipeline pass. */
+/**
+ * The tailor summary, printed from the job's result: analysis, cut, one
+ * line per pass, the verdicts and the exported netlist. The rewrite,
+ * clock-gating and SAT never-toggle reports are in --status-json.
+ */
 void
-printPassSummary(const PipelineReport &report)
+printTailorResult(const JobResult &r, const std::string &out)
 {
-    for (const PassStats &s : report.passes) {
+    const JsonValue &p = r.payload;
+    if (!p.find("passes"))
+        return;  // no design was built
+    std::printf("analysis: %.0f cells provably untoggled\n",
+                num(p, "untoggled_cells"));
+    std::printf("cut: %.0f -> %.0f cells\n", num(p, "gates_before"),
+                num(p, "gates_after"));
+
+    // Per-pass wall times exist when this run computed the design.
+    const JsonValue *times = nullptr;
+    for (const JobStage &st : r.stages) {
+        if (st.stage == "design" && st.detail.isObject())
+            times = st.detail.find("passes");
+    }
+    const std::vector<JsonValue> &passes = p.find("passes")->items();
+    for (size_t i = 0; i < passes.size(); i++) {
+        const JsonValue &s = passes[i];
         char dpower[32] = "-";
         char ddepth[32] = "-";
-        if (s.powerBeforeUW >= 0 && s.powerAfterUW >= 0) {
+        char wall[32] = "";
+        if (num(s, "power_before_uw") >= 0 && num(s, "power_after_uw") >= 0)
             std::snprintf(dpower, sizeof(dpower), "%+.2f uW",
-                          s.powerAfterUW - s.powerBeforeUW);
-        }
-        if (s.depthBeforePs >= 0 && s.depthAfterPs >= 0) {
+                          num(s, "power_after_uw") -
+                              num(s, "power_before_uw"));
+        if (num(s, "depth_before_ps") >= 0 && num(s, "depth_after_ps") >= 0)
             std::snprintf(ddepth, sizeof(ddepth), "%+.0f ps",
-                          s.depthAfterPs - s.depthBeforePs);
-        }
-        std::printf("pass %-14s %5zu changes, %zu -> %zu gates,"
-                    " dpower %s, ddepth %s, %.1f ms\n",
-                    s.name.c_str(), s.changes, s.gatesBefore,
-                    s.gatesAfter, dpower, ddepth, s.wallMs);
+                          num(s, "depth_after_ps") -
+                              num(s, "depth_before_ps"));
+        if (times)
+            std::snprintf(wall, sizeof(wall), ", %.1f ms",
+                          num(times->items().at(i), "wall_ms"));
+        std::printf("pass %-14s %5.0f changes, %.0f -> %.0f gates,"
+                    " dpower %s, ddepth %s%s\n",
+                    s.find("name")->asString().c_str(), num(s, "changes"),
+                    num(s, "gates_before"), num(s, "gates_after"), dpower,
+                    ddepth, wall);
     }
-    if (report.rewrittenInstances > 0) {
-        std::printf("rewrite-search: %zu datapath instance(s)"
-                    " restructured\n",
-                    report.rewrittenInstances);
+    const JsonValue *eq = p.find("equivalent");
+    if (eq && eq->asBool() && p.find("completed")->asBool()) {
+        std::printf("verified: %.0f outputs compared across %.0f paths\n",
+                    num(p, "outputs_compared"), num(p, "paths_explored"));
     }
-    if (report.gating.candidateBanks > 0) {
-        std::printf("clock-gating: %zu of %zu bank(s) gated"
-                    " (%zu flops), %.2f uW clock power saved\n",
-                    report.gating.banks.size(),
-                    report.gating.candidateBanks,
-                    report.gating.gatedFlops(),
-                    report.gating.savedClockUW);
+    if (const JsonValue *sc = p.find("sat_cross_check")) {
+        const std::string &verdict = sc->find("verdict")->asString();
+        std::printf("sat cross-check (depth %.0f): %s\n", num(*sc, "depth"),
+                    verdict == "equivalent"
+                        ? "equivalent"
+                        : sc->find("detail")->asString().c_str());
     }
-    if (report.satCandidates > 0) {
-        std::printf("sat never-toggle: %zu candidate(s), %zu proven,"
-                    " %zu refuted, %zu undecided\n",
-                    report.satCandidates, report.satProven,
-                    report.satRefuted, report.satUnknown);
-        std::printf("sat never-toggle: %zu shard(s), %llu conflicts,"
-                    " %llu propagations, %llu learned (%llu kept),"
-                    " %llu db reduction(s)\n",
-                    report.satShards,
-                    static_cast<unsigned long long>(report.satConflicts),
-                    static_cast<unsigned long long>(
-                        report.satPropagations),
-                    static_cast<unsigned long long>(report.satLearned),
-                    static_cast<unsigned long long>(report.satKept),
-                    static_cast<unsigned long long>(
-                        report.satReductions));
+    if (r.ok) {
+        std::printf("%s: %.0f cells (%.0f flops), %.0f um^2, hash %s\n",
+                    out.c_str(), num(p, "gates_after"), num(p, "flops"),
+                    num(p, "area_um2"),
+                    p.find("netlist_hash")->asString().c_str());
     }
-}
-
-/** The tailor run's per-pass stats and gating plan as JSON. */
-JsonValue
-tailorStatusJson(const Args &a, const CutStats &cut,
-                 const PipelineReport &report, bool verified)
-{
-    JsonValue doc = JsonValue::object();
-    doc.set("app", JsonValue::str(a.app));
-    JsonValue jc = JsonValue::object();
-    jc.set("gates_before",
-           JsonValue::number(static_cast<double>(cut.gatesBefore)));
-    jc.set("gates_cut_direct",
-           JsonValue::number(static_cast<double>(cut.gatesCutDirect)));
-    jc.set("gates_after",
-           JsonValue::number(static_cast<double>(cut.gatesAfter)));
-    doc.set("cut", std::move(jc));
-    JsonValue passes = JsonValue::array();
-    for (const PassStats &s : report.passes) {
-        JsonValue jp = JsonValue::object();
-        jp.set("name", JsonValue::str(s.name));
-        jp.set("changes",
-               JsonValue::number(static_cast<double>(s.changes)));
-        jp.set("gates_before",
-               JsonValue::number(static_cast<double>(s.gatesBefore)));
-        jp.set("gates_after",
-               JsonValue::number(static_cast<double>(s.gatesAfter)));
-        jp.set("power_before_uw", JsonValue::number(s.powerBeforeUW));
-        jp.set("power_after_uw", JsonValue::number(s.powerAfterUW));
-        jp.set("depth_before_ps", JsonValue::number(s.depthBeforePs));
-        jp.set("depth_after_ps", JsonValue::number(s.depthAfterPs));
-        jp.set("wall_ms", JsonValue::number(s.wallMs));
-        passes.push(std::move(jp));
-    }
-    doc.set("passes", std::move(passes));
-    doc.set("rewritten_instances",
-            JsonValue::number(
-                static_cast<double>(report.rewrittenInstances)));
-    JsonValue jg = JsonValue::object();
-    jg.set("candidate_banks",
-           JsonValue::number(
-               static_cast<double>(report.gating.candidateBanks)));
-    jg.set("gated_banks",
-           JsonValue::number(
-               static_cast<double>(report.gating.banks.size())));
-    jg.set("gated_flops",
-           JsonValue::number(
-               static_cast<double>(report.gating.gatedFlops())));
-    jg.set("saved_clock_uw",
-           JsonValue::number(report.gating.savedClockUW));
-    doc.set("gating", std::move(jg));
-    JsonValue js = JsonValue::object();
-    js.set("candidates",
-           JsonValue::number(
-               static_cast<double>(report.satCandidates)));
-    js.set("proven",
-           JsonValue::number(static_cast<double>(report.satProven)));
-    js.set("refuted",
-           JsonValue::number(static_cast<double>(report.satRefuted)));
-    js.set("unknown",
-           JsonValue::number(static_cast<double>(report.satUnknown)));
-    js.set("shards",
-           JsonValue::number(static_cast<double>(report.satShards)));
-    js.set("conflicts",
-           JsonValue::number(static_cast<double>(report.satConflicts)));
-    js.set("propagations",
-           JsonValue::number(
-               static_cast<double>(report.satPropagations)));
-    js.set("learned_clauses",
-           JsonValue::number(static_cast<double>(report.satLearned)));
-    js.set("kept_clauses",
-           JsonValue::number(static_cast<double>(report.satKept)));
-    js.set("db_reductions",
-           JsonValue::number(
-               static_cast<double>(report.satReductions)));
-    js.set("restarts",
-           JsonValue::number(static_cast<double>(report.satRestarts)));
-    doc.set("sat_never_toggle", std::move(js));
-    doc.set("verified", JsonValue::boolean(verified));
-    return doc;
 }
 
 int
@@ -544,92 +292,30 @@ cmdTailor(const Args &a)
 {
     if (a.in.empty() || a.out.empty() || a.app.empty())
         usage("tailor needs -i FILE, --app NAME, and -o FILE");
-    PassPipelineOptions popts;
-    std::string perr;
-    if (!parsePassList(a.passes, &popts, &perr))
-        usage("--passes: " + perr);
-    popts.collectMetrics = true;
-    if (a.satDepth > 0)
-        popts.sat.depth = a.satDepth;
-    popts.sat.threads = a.satThreads;
-    Netlist original = importFile(a.in);
-    printStats("imported", original);
+    // Both worker counts are granted exactly (JobSpec::satThreads).
+    const int hw = WorkerPool::defaultThreadCount();
+    const int threads = a.threads == 0 ? hw : a.threads;
+    const int sat_threads = a.satThreads == 0 ? hw : a.satThreads;
+    JsonValue doc = JsonValue::object();
+    doc.set("kind", JsonValue::str(a.verify ? "verify" : "tailor"));
+    doc.set("app", JsonValue::str(a.app));
+    doc.set("netlist", JsonValue::str(a.in));
+    doc.set("out", JsonValue::str(a.out));
+    doc.set("passes", JsonValue::str(a.passes));
+    doc.set("sat_depth", JsonValue::number(a.satDepth));
+    doc.set("threads", JsonValue::number(threads));
+    doc.set("sat_threads", JsonValue::number(sat_threads));
 
-    const Workload &app = workloadByName(a.app);
-    AsmProgram prog = app.assembleProgram();
-    AnalysisOptions opts;
-    opts.threads = a.threads;
-    CheckpointStore store(a.checkpointDir);
-
-    AnalysisResult r = analyzeWithStore(original, prog, opts, store);
-    if (!r.completed)
-        fail("analysis hit its caps; the toggle set is incomplete");
-    std::printf("analysis: %llu paths, %llu cycles, %zu cells provably"
-                " untoggled\n",
-                static_cast<unsigned long long>(r.pathsExplored),
-                static_cast<unsigned long long>(r.cyclesSimulated),
-                r.untoggledCells());
-
-    CutStats cut;
-    PipelineReport report;
-    PassEnv env = makeTailorEnv(app);
-    env.program = &prog;
-    // Auto depth: the SAT pass's bounded proof covers exactly the
-    // envelope the serial X-analysis explores, whatever lane width
-    // and thread count ran the analysis above.
-    if (popts.satNeverToggle && popts.sat.depth == 0) {
-        popts.sat.depth =
-            static_cast<int>(serialAnalysisHorizon(original, prog, opts));
-    }
-    Netlist bespoke_nl = runTailorPipeline(original, r.activity.get(),
-                                           popts, env, &cut, &report);
-    sizeForLoads(bespoke_nl);
-    std::printf("cut: %zu -> %zu cells\n", cut.gatesBefore,
-                cut.gatesAfter);
-    printPassSummary(report);
-
-    if (a.verify) {
-        EquivResult eq =
-            checkSymbolicEquivalence(original, bespoke_nl, prog, opts);
-        if (!eq.equivalent || !eq.completed)
-            fail("equivalence check failed: " + eq.firstMismatch);
-        std::printf("verified: %llu outputs compared across %llu"
-                    " paths\n",
-                    static_cast<unsigned long long>(eq.outputsCompared),
-                    static_cast<unsigned long long>(eq.pathsExplored));
-        // Independent cross-check: the CDCL miter shares no code with
-        // the symbolic engine. A confirmed SAT witness here means one
-        // of the two provers is wrong — fail loudly. The miter stays
-        // at its own shallow default depth with a finite conflict
-        // budget: --sat-depth steers the pass's unrolling envelope,
-        // and a deep miter over an aggressively cut design can be
-        // intractable. Budget exhaustion degrades to Unknown, which
-        // is reported but non-fatal — the symbolic proof above is
-        // authoritative; `prove` exists for deeper explicit miters.
-        sat::SatEquivOptions so;
-        so.conflictBudget = 200000;
-        sat::SatEquivResult sr =
-            sat::proveEquivalentSat(original, bespoke_nl, prog, so);
-        if (sr.verdict == sat::SatEquivVerdict::NotEquivalent)
-            fail("SAT cross-check disagrees with the symbolic prover: " +
-                 sr.detail);
-        std::printf("sat cross-check (depth %d): %s\n", sr.depth,
-                    sr.verdict == sat::SatEquivVerdict::Equivalent
-                        ? "equivalent"
-                        : sr.detail.c_str());
-    }
-
-    if (!a.statusJson.empty()) {
-        std::ofstream os(a.statusJson);
-        if (!os)
-            fail("cannot write '" + a.statusJson + "'");
-        os << tailorStatusJson(a, cut, report, a.verify).dump(2) << "\n";
-        if (!os)
-            fail("write to '" + a.statusJson + "' failed");
-    }
-
-    exportFile(bespoke_nl, a.out, "bespoke_" + a.app);
-    printStats(a.out.c_str(), bespoke_nl);
+    SchedulerOptions sopts;
+    sopts.workerThreads = std::max(threads, sat_threads);
+    sopts.checkpointDir = a.checkpointDir;
+    sopts.flow.passes.collectMetrics = true;
+    JobResult r = runJobSpec(doc, std::move(sopts));
+    printTailorResult(r, a.out);
+    if (!a.statusJson.empty())
+        writeJson(a.statusJson, r.toJson());
+    if (!r.ok)
+        fail(r.error);
     return 0;
 }
 
@@ -638,23 +324,19 @@ cmdCheck(const Args &a)
 {
     if (a.in.empty() || a.app.empty())
         usage("check needs -i FILE and --app NAME");
-    if (a.threadsSet)
-        usage("check takes no --threads: the symbolic check runs on"
-              " one worker");
-    Netlist candidate = importFile(a.in);
-    Netlist reference =
-        a.against.empty() ? buildCore(a.core) : importFile(a.against);
-
-    const Workload &app = workloadByName(a.app);
-    AsmProgram prog = app.assembleProgram();
-    EquivResult eq = checkSymbolicEquivalence(reference, candidate, prog);
-    if (!eq.equivalent || !eq.completed)
-        fail("NOT equivalent for '" + a.app + "': " + eq.firstMismatch);
-    std::printf("equivalent for '%s': %llu outputs compared across"
-                " %llu paths\n",
-                a.app.c_str(),
-                static_cast<unsigned long long>(eq.outputsCompared),
-                static_cast<unsigned long long>(eq.pathsExplored));
+    JsonValue doc = JsonValue::object();
+    doc.set("kind", JsonValue::str("check"));
+    doc.set("app", JsonValue::str(a.app));
+    doc.set("netlist", JsonValue::str(a.in));
+    doc.set("against", JsonValue::str(a.against));
+    doc.set("core", JsonValue::str(a.core));
+    JobResult r = runJobSpec(doc, SchedulerOptions{});
+    if (!r.ok)
+        fail("'" + a.app + "': " + r.error);
+    std::printf("equivalent for '%s': %.0f outputs compared across"
+                " %.0f paths\n",
+                a.app.c_str(), num(r.payload, "outputs_compared"),
+                num(r.payload, "paths_explored"));
     return 0;
 }
 
@@ -663,9 +345,9 @@ cmdProve(const Args &a)
 {
     if (a.in.empty() || a.app.empty())
         usage("prove needs -i FILE and --app NAME");
-    Netlist candidate = importFile(a.in);
+    Netlist candidate = loadNetlist(a.in);
     Netlist reference =
-        a.against.empty() ? buildCore(a.core) : importFile(a.against);
+        a.against.empty() ? sizedCore(a.core) : loadNetlist(a.against);
 
     const Workload &app = workloadByName(a.app);
     AsmProgram prog = app.assembleProgram();
@@ -720,11 +402,11 @@ cmdExportCnf(const Args &a)
     Netlist leader;
     Netlist follower;
     if (a.miter) {
-        leader = a.against.empty() ? buildCore(a.core)
-                                   : importFile(a.against);
-        follower = importFile(a.in);
+        leader = a.against.empty() ? sizedCore(a.core)
+                                   : loadNetlist(a.against);
+        follower = loadNetlist(a.in);
     } else {
-        leader = a.in.empty() ? buildCore(a.core) : importFile(a.in);
+        leader = a.in.empty() ? sizedCore(a.core) : loadNetlist(a.in);
     }
     sat::SocUnroller un(leader, prog, cnf, uo);
     if (a.miter) {
@@ -762,7 +444,8 @@ cmdExportCnf(const Args &a)
     std::ofstream os(a.out, std::ios::binary);
     if (!os)
         fail("cannot write '" + a.out + "'");
-    if (endsWith(a.out, ".smt2"))
+    if (a.out.size() >= 5 &&
+        a.out.compare(a.out.size() - 5, 5, ".smt2") == 0)
         cnf.writeSmt2(os);
     else
         cnf.writeDimacs(os);
@@ -791,7 +474,7 @@ schedulerOptions(const Args &a)
 }
 
 /**
- * Run the whole queue (failures included), write the status summary,
+ * Write the status summary of a finished queue (failures included),
  * print one line per job, and map "any failure" to exit code 1.
  */
 int
@@ -807,22 +490,16 @@ reportJobs(const std::vector<JobResult> &results, const Args &a)
                     r.kind.c_str(), r.ok ? "ok" : "FAILED",
                     r.ok ? "" : ": ", r.ok ? "" : r.error.c_str());
     }
+    auto count = [](size_t n) {
+        return JsonValue::number(static_cast<double>(n));
+    };
     JsonValue status = JsonValue::object();
-    status.set("total",
-               JsonValue::number(static_cast<double>(results.size())));
-    status.set("ok", JsonValue::number(
-                         static_cast<double>(results.size() - failed)));
-    status.set("failed",
-               JsonValue::number(static_cast<double>(failed)));
+    status.set("total", count(results.size()));
+    status.set("ok", count(results.size() - failed));
+    status.set("failed", count(failed));
     status.set("jobs", std::move(jobs));
-    if (!a.statusJson.empty()) {
-        std::ofstream os(a.statusJson);
-        if (!os)
-            fail("cannot write '" + a.statusJson + "'");
-        os << status.dump(2) << "\n";
-        if (!os)
-            fail("write to '" + a.statusJson + "' failed");
-    }
+    if (!a.statusJson.empty())
+        writeJson(a.statusJson, status);
     std::printf("%zu job(s): %zu ok, %zu failed\n", results.size(),
                 results.size() - failed, failed);
     return failed == 0 ? 0 : 1;
@@ -833,41 +510,19 @@ cmdBatch(const Args &a)
 {
     if (a.jobs.empty())
         usage("batch needs --jobs FILE");
-    std::string text = readFile(a.jobs);
-    JsonValue doc;
+    std::string text;
     std::string err;
-    if (!JsonValue::parse(text, doc, err))
-        usage(a.jobs + ": " + err);
-    const JsonValue *items = &doc;
-    if (doc.isObject()) {
-        items = doc.find("jobs");
-        if (!items)
-            usage(a.jobs + ": batch object needs a 'jobs' array");
-    }
-    if (!items->isArray())
-        usage(a.jobs + ": batch file must be a JSON array of job "
-                       "specs (or an object with a 'jobs' array)");
-
-    // A spec that fails to parse becomes a failed result; the rest of
-    // the queue still runs.
+    if (!readTextFile(a.jobs, &text, &err))
+        fail(err);
+    std::vector<JobSpec> specs;
     std::vector<JobResult> invalid;
+    if (!parseJobList(text, &specs, &invalid, &err))
+        usage(a.jobs + ": " + err);
     std::vector<JobResult> results;
     {
         JobScheduler sched(schedulerOptions(a));
-        for (size_t i = 0; i < items->items().size(); i++) {
-            JobSpec spec;
-            std::string perr;
-            if (parseJobSpec(items->items()[i], &spec, &perr)) {
-                sched.submit(std::move(spec));
-            } else {
-                JobResult bad;
-                bad.id = "job-" + std::to_string(i);
-                bad.kind = "invalid";
-                bad.error = perr;
-                bad.payload = JsonValue::object();
-                invalid.push_back(std::move(bad));
-            }
-        }
+        for (JobSpec &spec : specs)
+            sched.submit(std::move(spec));
         results = sched.finish();
     }
     for (JobResult &r : invalid)
@@ -879,20 +534,15 @@ int
 cmdServe(const Args &a)
 {
     std::mutex out_m;
-    SchedulerOptions sopts = schedulerOptions(a);
-    sopts.maxQueued = a.maxQueued;
-    sopts.onResult = [&out_m](const JobResult &r) {
-        std::lock_guard<std::mutex> lk(out_m);
-        std::printf("%s\n", r.toJson().dump().c_str());
-        std::fflush(stdout);
-    };
-    JobScheduler sched(std::move(sopts));
-
     auto reply = [&out_m](const JobResult &r) {
         std::lock_guard<std::mutex> lk(out_m);
         std::printf("%s\n", r.toJson().dump().c_str());
         std::fflush(stdout);
     };
+    SchedulerOptions sopts = schedulerOptions(a);
+    sopts.maxQueued = a.maxQueued;
+    sopts.onResult = reply;
+    JobScheduler sched(std::move(sopts));
 
     size_t invalid = 0;
     size_t rejected = 0;
@@ -931,6 +581,132 @@ cmdServe(const Args &a)
     return sched.failures() + invalid + rejected == 0 ? 0 : 1;
 }
 
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    /** Usage synopsis; every word starting with '-' (after any '[')
+     *  is a flag the command consumes. */
+    const char *synopsis;
+};
+
+const Command kCommands[] = {
+    {"export", cmdExport, "[--core default|extended] -o FILE"},
+    {"convert", cmdConvert, "-i FILE -o FILE"},
+    {"hash", cmdHash, "-i FILE | --core default|extended"},
+    {"tailor", cmdTailor,
+     "-i FILE --app NAME -o FILE [--checkpoint-dir DIR] [--verify]"
+     " [--threads N] [--passes LIST] [--status-json FILE]"
+     " [--sat-depth N] [--sat-threads N]"},
+    {"check", cmdCheck,
+     "-i FILE --app NAME [--against FILE] [--core default|extended]"},
+    {"prove", cmdProve,
+     "-i FILE --app NAME [--against FILE] [--core default|extended]"
+     " [--sat-depth N] [--sat-threads N]"},
+    {"export-cnf", cmdExportCnf,
+     "--app NAME -o FILE[.cnf|.smt2] [-i FILE] [--miter [--against FILE]]"
+     " [--core default|extended] [--sat-depth N]"},
+    {"batch", cmdBatch,
+     "--jobs FILE [--job-threads N] [--worker-threads N]"
+     " [--checkpoint-dir DIR] [--checkpoint-max-bytes N]"
+     " [--status-json FILE] [--progress]"},
+    {"serve", cmdServe,
+     "[--job-threads N] [--worker-threads N] [--checkpoint-dir DIR]"
+     " [--checkpoint-max-bytes N] [--progress] [--max-queued N]"},
+};
+
+void
+usage(const std::string &msg)
+{
+    if (!msg.empty())
+        std::fprintf(stderr, "bespoke_io: %s\n", msg.c_str());
+    std::fprintf(stderr, "usage:\n");
+    for (const Command &c : kCommands)
+        std::fprintf(stderr, "  bespoke_io %-10s %s\n", c.name, c.synopsis);
+    std::fprintf(stderr, "formats are chosen by file extension: .v"
+                         " structural Verilog, .json canonical JSON\n");
+    std::exit(2);
+}
+
+/** Does `cmd`'s synopsis list `flag`? */
+bool
+takesFlag(const Command &cmd, const std::string &flag)
+{
+    std::istringstream words(cmd.synopsis);
+    std::string w;
+    while (words >> w) {
+        w.erase(0, w.find_first_not_of('['));
+        w.erase(w.find_last_not_of(']') + 1);
+        if (w == flag)
+            return true;
+    }
+    return false;
+}
+
+Args
+parseArgs(int argc, char **argv, const Command &cmd)
+{
+    Args a;
+    for (int i = 2; i < argc; i++) {
+        std::string arg = argv[i];
+        if (arg == "--in")
+            arg = "-i";
+        else if (arg == "--out")
+            arg = "-o";
+        if (arg.empty() || arg[0] != '-')
+            usage("unexpected argument '" + arg + "'");
+        if (!takesFlag(cmd, arg))
+            usage(std::string(cmd.name) + " takes no " + arg);
+        auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                usage("flag '" + arg + "' needs a value");
+            return argv[++i];
+        };
+        if (arg == "-i")
+            a.in = value();
+        else if (arg == "-o")
+            a.out = value();
+        else if (arg == "--against")
+            a.against = value();
+        else if (arg == "--app")
+            a.app = value();
+        else if (arg == "--core")
+            a.core = value();
+        else if (arg == "--checkpoint-dir")
+            a.checkpointDir = value();
+        else if (arg == "--checkpoint-max-bytes")
+            a.checkpointMaxBytes =
+                std::strtoull(value().c_str(), nullptr, 10);
+        else if (arg == "--jobs")
+            a.jobs = value();
+        else if (arg == "--status-json")
+            a.statusJson = value();
+        else if (arg == "--passes")
+            a.passes = value();
+        else if (arg == "--verify")
+            a.verify = true;
+        else if (arg == "--progress")
+            a.progress = true;
+        else if (arg == "--miter")
+            a.miter = true;
+        else if (arg == "--sat-depth")
+            a.satDepth = std::atoi(value().c_str());
+        else if (arg == "--sat-threads")
+            a.satThreads = std::atoi(value().c_str());
+        else if (arg == "--max-queued")
+            a.maxQueued = std::strtoull(value().c_str(), nullptr, 10);
+        else if (arg == "--threads")
+            a.threads = std::atoi(value().c_str());
+        else if (arg == "--job-threads")
+            a.jobThreads = std::atoi(value().c_str());
+        else if (arg == "--worker-threads")
+            a.workerThreads = std::atoi(value().c_str());
+        else
+            usage("unknown flag '" + arg + "'");
+    }
+    return a;
+}
+
 } // namespace
 
 int
@@ -938,25 +714,10 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         usage();
-    std::string cmd = argv[1];
-    Args a = parseArgs(argc, argv);
-    if (cmd == "export")
-        return cmdExport(a);
-    if (cmd == "convert")
-        return cmdConvert(a);
-    if (cmd == "hash")
-        return cmdHash(a);
-    if (cmd == "tailor")
-        return cmdTailor(a);
-    if (cmd == "check")
-        return cmdCheck(a);
-    if (cmd == "prove")
-        return cmdProve(a);
-    if (cmd == "export-cnf")
-        return cmdExportCnf(a);
-    if (cmd == "batch")
-        return cmdBatch(a);
-    if (cmd == "serve")
-        return cmdServe(a);
-    usage("unknown command '" + cmd + "'");
+    const std::string name = argv[1];
+    for (const Command &cmd : kCommands) {
+        if (name == cmd.name)
+            return cmd.run(parseArgs(argc, argv, cmd));
+    }
+    usage("unknown command '" + name + "'");
 }
